@@ -126,8 +126,21 @@ type L2 interface {
 	// replayed fills, overflow resets).
 	Tick(now uint64)
 	// SyncClock advances the bank's local clock to now without
-	// performing any work (see L1.SyncClock).
+	// performing any work (see L1.SyncClock). A bank whose only work is
+	// time-driven (see TimedWake) also adds the per-cycle counters the
+	// skipped Ticks would have added — e.g. one TC write-stall cycle
+	// per blocked block per cycle — so its stats match a bank ticked
+	// every cycle. On a quiescent bank that delta is zero.
 	SyncClock(now uint64)
+	// TimedWake reports, for a non-quiescent bank whose remaining work
+	// is purely time-driven, the first cycle at > now at which Tick can
+	// do anything but count stall cycles: Tick(c) for every now < c <
+	// at is equivalent to SyncClock(c), stats included. ok is false
+	// when the bank has message-driven work (queued input or output),
+	// cannot bound its next change, or has no time-driven work at all;
+	// a non-quiescent bank is then ticked every cycle. Banks without
+	// time-driven loops return (0, false).
+	TimedWake(now uint64) (at uint64, ok bool)
 	// Pending reports in-flight work (stalled writes, DRAM waits).
 	Pending() int
 	// Peek returns the bank's current copy of a block, if cached —
@@ -143,7 +156,8 @@ type L2 interface {
 	// Quiescent reports that Tick would be a pure no-op until new input
 	// arrives (see L1.Quiescent). Banks with time-based retry loops
 	// (TC lease-expiry unblocking, stalled fill replays) must report
-	// non-quiescent while any such loop is armed.
+	// non-quiescent while any such loop is armed; TimedWake may then
+	// bound when the loop next matters.
 	Quiescent() bool
 	// Drained reports that no in-flight work remains at all — the O(1)
 	// equivalent of Pending() == 0, used by the drain loop every cycle

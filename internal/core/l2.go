@@ -508,6 +508,10 @@ func (l *L2) reset(epoch uint64) {
 // SyncClock implements coherence.L2.
 func (l *L2) SyncClock(now uint64) { l.now = now }
 
+// TimedWake implements coherence.L2: this bank has no time-driven
+// work loops.
+func (l *L2) TimedWake(uint64) (uint64, bool) { return 0, false }
+
 // Tick implements coherence.L2: drain output backpressure first, then
 // service up to perCycle queued requests.
 func (l *L2) Tick(now uint64) {

@@ -545,6 +545,11 @@ func (l *L2) route(msg *mem.Msg) {
 // SyncClock implements coherence.L2.
 func (l *L2) SyncClock(now uint64) { l.now = now }
 
+// TimedWake implements coherence.L2. A stalled fill retries and issues
+// recalls every cycle, which is real work rather than stall counting,
+// so this bank never claims a timed wake.
+func (l *L2) TimedWake(uint64) (uint64, bool) { return 0, false }
+
 // Tick implements coherence.L2.
 func (l *L2) Tick(now uint64) {
 	l.now = now

@@ -27,6 +27,12 @@
 //     (coherence.L1 contract), so a quiescent controller parks at
 //     Never and is re-armed by the ingress hooks below the moment a
 //     delivery or enqueue targets it; a non-quiescent one is Hot.
+//   - L2 banks additionally have a timed wake: a busy bank whose only
+//     work is time-driven (TC write stalls and stalled fills waiting
+//     on lease expiry) parks at its TimedWake cycle instead of Hot.
+//     Until then each skipped Tick would only count stall cycles,
+//     which the SyncClock it gets instead adds in bulk; a delivery
+//     re-arms it Hot through the same ingress hooks.
 //
 // Re-registration happens at every point that can pull a wake earlier:
 // NoC delivery to an L2/L1 and DRAM-fill delivery mark the receiver
@@ -181,10 +187,12 @@ func (s *System) TickDue(now uint64, d *DispatchStats) {
 // Sys.Tick(j) resync at the end of a fast-forward jump when
 // per-component wakes are on: every slot's wake lies beyond j (that is
 // what made the window skippable), so each component's Tick(j) would
-// be a no-op — except the clock assignment it opens with, which is
-// exactly what Sync/SyncClock perform. Controller clocks matter even
-// while inert (see coherence.L1.SyncClock); DRAM partitions keep no
-// local clock (all their timing state is absolute).
+// be a no-op — except the clock assignment it opens with and, for an
+// L2 bank on a timed wake, the stall cycles it counts, which is
+// exactly what Sync/SyncClock perform across the whole window.
+// Controller clocks matter even while inert (see
+// coherence.L1.SyncClock); DRAM partitions keep no local clock (all
+// their timing state is absolute).
 func (s *System) SyncClocks(now uint64) {
 	s.clock = now
 	s.Net.Sync(now)
@@ -215,7 +223,7 @@ func (s *System) RefreshDue(now uint64, smsTicked []int) {
 		s.Wakes.Schedule(s.slotPart+i, s.Parts[i].NextEvent(now))
 	}
 	for _, i := range s.tickedL2s {
-		s.refreshL2(i)
+		s.refreshL2(i, now)
 	}
 	for _, i := range s.tickedL1s {
 		s.refreshL1(i)
@@ -225,12 +233,25 @@ func (s *System) RefreshDue(now uint64, smsTicked []int) {
 	}
 }
 
-func (s *System) refreshL2(i int) {
-	if s.L2s[i].Quiescent() {
+// refreshL2 registers bank i's wake: Never when quiescent, the bank's
+// TimedWake when its only work is time-driven, Hot otherwise. Timed
+// wakes need per-component dispatch: only TickDue and SyncClocks keep
+// a sleeping bank's clock (and with it its bulk stall counts) current
+// on every cycle it skips, while the wholesale Tick would jump it
+// across a skip window in one step.
+func (s *System) refreshL2(i int, now uint64) {
+	l2 := s.L2s[i]
+	if l2.Quiescent() {
 		s.Wakes.Schedule(s.slotL2+i, sched.Never)
-	} else {
-		s.Wakes.Schedule(s.slotL2+i, sched.Hot)
+		return
 	}
+	if s.compWakes {
+		if at, ok := l2.TimedWake(now); ok {
+			s.Wakes.Schedule(s.slotL2+i, at)
+			return
+		}
+	}
+	s.Wakes.Schedule(s.slotL2+i, sched.Hot)
 }
 
 func (s *System) refreshL1(i int) {
@@ -243,14 +264,15 @@ func (s *System) refreshL1(i int) {
 
 // RefreshWakes re-registers every hierarchy component's wake from live
 // state after the cycle at now fully executed. Each registration is
-// O(1):
+// O(1), except a busy L2's timed-wake scan over its parked work:
 //
 //   - the NoC reports its incrementally-maintained next-work cycle;
 //   - each DRAM partition reports its O(1) NextEvent (head-of-queue
 //     issue opportunity or earliest scheduled fill);
 //   - L1/L2 controllers are either quiescent (inert until an input
 //     arrives, at which point an ingress hook or RefreshDue re-arms
-//     them) or must tick every cycle (Hot).
+//     them) or must tick every cycle (Hot), except an L2 whose only
+//     work is time-driven, which sleeps until its TimedWake.
 //
 // Under per-component dispatch this full scan runs only at phase entry
 // (after between-phase work like the kernel-boundary L1 flush, or an
@@ -270,7 +292,7 @@ func (s *System) RefreshWakes(now uint64) {
 		s.Wakes.Schedule(s.slotPart+i, p.NextEvent(now))
 	}
 	for i := range s.L2s {
-		s.refreshL2(i)
+		s.refreshL2(i, now)
 	}
 	for i := range s.L1s {
 		s.refreshL1(i)

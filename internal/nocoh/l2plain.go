@@ -231,6 +231,10 @@ func (l *L2Plain) process(msg *mem.Msg, line *cache.Line[struct{}]) {
 // SyncClock implements coherence.L2.
 func (l *L2Plain) SyncClock(now uint64) { l.now = now }
 
+// TimedWake implements coherence.L2: this bank has no time-driven
+// work loops.
+func (l *L2Plain) TimedWake(uint64) (uint64, bool) { return 0, false }
+
 // Tick implements coherence.L2.
 func (l *L2Plain) Tick(now uint64) {
 	l.now = now

@@ -140,6 +140,8 @@ func TestHorizonClaimsSound(t *testing.T) {
 //
 //   - an L1/L2 reporting Quiescent() promises Tick at any future cycle
 //     is a pure no-op until new input arrives;
+//   - an L2 reporting TimedWake(now) = W promises Tick on any cycle
+//     before W only counts stall cycles, exactly as SyncClock does;
 //   - the NoC's NextWork(now) promises Tick on any earlier cycle only
 //     advances its clock;
 //   - a DRAM partition's NextEvent(now) promises the same with no clock
@@ -157,18 +159,23 @@ func TestComponentWakeClaimsSound(t *testing.T) {
 	cases := []struct {
 		name   string
 		proto  memsys.Protocol
+		cons   gpu.Consistency
 		kernel *gpu.Kernel
+		timed  bool // the run must exercise L2 timed wakes
 	}{
-		{"gtsc-conflict", memsys.GTSC, conflictKernel(0x60000, 4, 8)},
-		{"gtsc-writeread", memsys.GTSC, writeReadKernel(0x50000)},
-		{"dir-conflict", memsys.DIR, conflictKernel(0x61000, 4, 8)},
-		{"tc-writeread", memsys.TC, writeReadKernel(0x52000)},
+		{"gtsc-conflict", memsys.GTSC, gpu.RC, conflictKernel(0x60000, 4, 8), false},
+		{"gtsc-writeread", memsys.GTSC, gpu.RC, writeReadKernel(0x50000), false},
+		{"dir-conflict", memsys.DIR, gpu.RC, conflictKernel(0x61000, 4, 8), false},
+		{"tc-writeread", memsys.TC, gpu.RC, writeReadKernel(0x52000), false},
+		// TC-Strong: conflicting stores park at the L2 behind live
+		// leases, so banks claim timed wakes.
+		{"tc-sc-conflict", memsys.TC, gpu.SC, conflictKernel(0x62000, 4, 8), true},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := smallConfig(tc.proto, gpu.RC)
+			cfg := smallConfig(tc.proto, tc.cons)
 			cfg.DisableCycleSkip = true
 			cfg.Engine = EngineLegacy
 			s := New(cfg)
@@ -224,6 +231,30 @@ func TestComponentWakeClaimsSound(t *testing.T) {
 					covered["l1"]++
 				}
 				for j, l2 := range sys.L2s {
+					if at, ok := l2.TimedWake(s.now); ok && at > probe {
+						// Tick(probe) must leave the state alone and
+						// count exactly what SyncClock(probe) adds. Both
+						// probes are undone: stats restored, clock
+						// synced back (a backward SyncClock counts
+						// nothing).
+						d := l2.(coherence.StateDigester)
+						before, saved := digest(d), *l2.Stats()
+						l2.SyncClock(probe)
+						synced := *l2.Stats()
+						*l2.Stats() = saved
+						l2.SyncClock(s.now)
+						l2.Tick(probe)
+						ticked := *l2.Stats()
+						*l2.Stats() = saved
+						l2.SyncClock(s.now)
+						if digest(d) != before {
+							t.Fatalf("l2[%d] claimed TimedWake %d at cycle %d but Tick(%d) changed state", j, at, s.now, probe)
+						}
+						if ticked != synced {
+							t.Fatalf("l2[%d] claimed TimedWake %d at cycle %d but Tick(%d) counted %+v, SyncClock %+v", j, at, s.now, probe, ticked, synced)
+						}
+						covered["l2-timed"]++
+					}
 					if !l2.Quiescent() {
 						continue
 					}
@@ -257,7 +288,11 @@ func TestComponentWakeClaimsSound(t *testing.T) {
 					covered["dram"]++
 				}
 			}
-			for _, class := range []string{"l1", "l2", "noc", "dram"} {
+			classes := []string{"l1", "l2", "noc", "dram"}
+			if tc.timed {
+				classes = append(classes, "l2-timed")
+			}
+			for _, class := range classes {
 				if covered[class] == 0 {
 					t.Errorf("component class %q never claimed a quiet cycle; its half of the property test is vacuous", class)
 				}

@@ -110,8 +110,11 @@ func (l *L2) Pending() int {
 // quiescence because they resume on lease expiry (a time-based event,
 // counting WriteStalls every waiting cycle); stalled fills bar it
 // because Tick retries installs (counting EvictStalls) every cycle.
-// A plain outstanding miss is fine: it only changes state when its
-// DRAM fill message arrives.
+// When those are the bank's only work, TimedWake bounds the next
+// expiry that matters, so the per-component dispatcher can let the
+// bank sleep until then instead of ticking it every cycle. A plain
+// outstanding miss is fine: it only changes state when its DRAM fill
+// message arrives.
 func (l *L2) Quiescent() bool {
 	return len(l.inQ) == 0 && len(l.outNoC) == 0 && len(l.outDRAM) == 0 &&
 		len(l.blocked) == 0 && l.stalledFills == 0
@@ -321,8 +324,62 @@ func (l *L2) performWrite(msg *mem.Msg, line *cache.Line[l2Meta]) {
 
 // SyncClock implements coherence.L2. The bank clock gates lease-expiry
 // eviction eligibility and write-unblocking, and stamps granted leases,
-// so it must track the machine clock across skipped ticks.
-func (l *L2) SyncClock(now uint64) { l.now = now }
+// so it must track the machine clock across skipped ticks. Each
+// skipped cycle before TimedWake's wake is one Tick that would only
+// have counted a write stall per blocked block and an eviction stall
+// per stalled fill, so those are added in bulk here. On a quiescent
+// bank both counts are zero.
+func (l *L2) SyncClock(now uint64) {
+	if now > l.now {
+		d := now - l.now
+		l.stats.WriteStalls += uint64(len(l.blocked)) * d
+		l.stats.EvictStalls += uint64(l.stalledFills) * d
+	}
+	l.now = now
+}
+
+// TimedWake implements coherence.L2. With no queued input or output,
+// the bank's remaining work is blocked TC-Strong writes and fills
+// stalled on leased victims. A blocked queue resumes when its line's
+// lease expires. A stalled fill can install once some line of its set
+// has expired and is not blocked; every valid line of the set is
+// either unexpired or blocked (an expired, unblocked line would have
+// been taken as the victim), so the fill's wake is the earliest expiry
+// in its set. Before the earliest of those wakes, each Tick only
+// counts stall cycles, which SyncClock accounts exactly.
+func (l *L2) TimedWake(now uint64) (uint64, bool) {
+	if l.fail != nil || l.MutIgnoreWriteStall || l.MsgPending() ||
+		(len(l.blocked) == 0 && l.stalledFills == 0) {
+		return 0, false
+	}
+	at, ok := uint64(0), false
+	earliest := func(e uint64) {
+		if !ok || e < at {
+			at, ok = e, true
+		}
+	}
+	for block := range l.blocked {
+		line := l.array.Lookup(block)
+		if line == nil {
+			return 0, false // Tick will fail the bank
+		}
+		earliest(line.Meta.expiry)
+	}
+	if l.stalledFills > 0 {
+		// A never-evictable filter makes Victim a side-effect-free scan
+		// of the set's valid ways; it returns a line only if a way is
+		// free, in which case the next Tick installs.
+		inSet := func(c *cache.Line[l2Meta]) bool { earliest(c.Meta.expiry); return false }
+		for block, m := range l.miss {
+			if m.data != nil && l.array.Victim(block, inSet) != nil {
+				return 0, false
+			}
+		}
+	}
+	// An expiry at or before now (possible only before this cycle's
+	// Tick has run) means the next Tick acts.
+	return max(at, now+1), ok
+}
 
 // Tick implements coherence.L2.
 func (l *L2) Tick(now uint64) {

@@ -93,6 +93,9 @@ func GE() *Workload {
 			ctas, warps := ctaScale(scale), 1
 			cols := warps * gpu.WarpWidth
 			tile := rows * cols
+			// Step k reads column k, so a tile taller than it is wide
+			// runs out of pivot columns before it runs out of rows.
+			steps := min(rows-1, cols)
 
 			lay := newLayout(0xA00000)
 			aBase := lay.array(ctas * tile)
@@ -107,7 +110,7 @@ func GE() *Workload {
 			copy(want, a)
 			for c := 0; c < ctas; c++ {
 				t := want[c*tile : (c+1)*tile]
-				for k := 0; k < rows-1; k++ {
+				for k := 0; k < steps; k++ {
 					for i := k + 1; i < rows; i++ {
 						f := t[i*cols+k]
 						for j := 0; j < cols; j++ {
@@ -123,7 +126,7 @@ func GE() *Workload {
 				Init: func(store *mem.Store) { writeArray(store, aBase, a) },
 				ProgramFor: func(w *gpu.Warp) gpu.Program {
 					var body []*gpu.Instr
-					for k := 0; k < rows-1; k++ {
+					for k := 0; k < steps; k++ {
 						k := k
 						for i := k + 1; i < rows; i++ {
 							i := i

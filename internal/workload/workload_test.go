@@ -117,3 +117,13 @@ func TestWorkloadRegistry(t *testing.T) {
 		t.Fatal("ByName(nope) should fail")
 	}
 }
+
+// TestGEBuildsAtTallTiles: from scale 14 a GE tile has more rows than
+// columns, so elimination runs out of pivot columns before it runs out
+// of rows; the reference and the kernel must both stop there and agree.
+func TestGEBuildsAtTallTiles(t *testing.T) {
+	inst := GE().Build(14)
+	if _, err := inst.Run(testConfig(memsys.GTSC, gpu.RC)); err != nil {
+		t.Fatal(err)
+	}
+}
