@@ -37,16 +37,15 @@ test:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Simulator performance snapshot: single-sim ns/cycle and allocs at
-# simworkers 1 vs N (with the skipped-cycle and per-component dispatch
-# breakdowns), the same sim with per-component wakes on vs off
-# back-to-back, plus Fig-12 grid wall time serial vs parallel (see
-# EXPERIMENTS.md).
+# Simulator performance snapshot: single-sim ns/cycle and allocs (with
+# the skipped-cycle and per-component dispatch breakdowns), Fig-12 grid
+# wall time serial vs parallel, and relaxed-sync vs the exact engine
+# (see EXPERIMENTS.md).
 # Half the paper machine (8 SMs / 8 banks at scale 2): large enough
 # that engine cost, not per-simulation construction, dominates the
 # wall time the snapshot tracks.
 bench-sim:
-	$(GO) run ./cmd/gtscbench -benchsim BENCH_sim.json -scale 2 -sms 8 -banks 8 -j 4 -simworkers 4
+	$(GO) run ./cmd/gtscbench -benchsim BENCH_sim.json -scale 2 -sms 8 -banks 8 -j 4
 	@cat BENCH_sim.json
 
 vet:

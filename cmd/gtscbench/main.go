@@ -10,7 +10,6 @@
 //	gtscbench -exp lease       # an extension (lease, tso, scale, micro, platform, cache)
 //	gtscbench -scale 1 -sms 8  # smaller machine / inputs
 //	gtscbench -j 8             # fan simulations across 8 workers
-//	gtscbench -j 4 -simworkers 2  # also tick SMs in parallel inside each simulation
 //	gtscbench -journal sweep.jrnl       # crash-safe: rerun with the same journal to resume
 //	gtscbench -timeout 10m              # bound wall-clock time (suspends gracefully)
 //	gtscbench -keep-going               # survive per-run failures; print partial figures
@@ -29,35 +28,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"github.com/gtsc-sim/gtsc/internal/cli"
 	"github.com/gtsc-sim/gtsc/internal/diag"
 	"github.com/gtsc-sim/gtsc/internal/experiments"
-	"github.com/gtsc-sim/gtsc/internal/sim"
 )
-
-// clampSimWorkers resolves -simworkers against -j: each of the j
-// session workers drives its own simulation, so the goroutine budget
-// is j*simworkers. The product is clamped to 2*GOMAXPROCS — results
-// are bit-identical at any setting, so the clamp only bounds scheduler
-// oversubscription, never changes output.
-func clampSimWorkers(jobs, simw int) int {
-	maxprocs := runtime.GOMAXPROCS(0)
-	if jobs <= 0 {
-		jobs = maxprocs
-	}
-	if simw <= 0 {
-		simw = maxprocs
-	}
-	if budget := 2 * maxprocs; jobs*simw > budget {
-		simw = budget / jobs
-	}
-	if simw < 1 {
-		simw = 1
-	}
-	return simw
-}
 
 // Exit codes (shared across binaries; see internal/cli).
 const (
@@ -78,9 +53,7 @@ func realMain() int {
 		tsbits   = flag.Int("tsbits", 0, "G-TSC timestamp width in bits (0 = protocol default 16; narrow widths make the §V-D overflow reset routine)")
 		tcl      = flag.Uint64("tc-lease", 400, "TC lease in cycles")
 		jobs     = flag.Int("j", 0, "simulation workers (0 = GOMAXPROCS, 1 = serial); results are bit-identical at any -j")
-		simw     = flag.Int("simworkers", 1, "SM tick workers inside each simulation (0 = GOMAXPROCS); goroutine budget is j*simworkers, clamped so it stays <= 2*GOMAXPROCS; results are bit-identical at any setting")
-		engine   = flag.String("engine", "auto", "cycle engine: auto (scheduled-wake event engine when its preconditions hold), event, or legacy (per-cycle loop); results are bit-identical under either")
-		slack    = flag.Uint64("slack", 0, "relaxed-synchronization bound in cycles for every run (0 = bit-exact). Nonzero slack perturbs cycle counts boundedly with functional results preserved; it is result-affecting, so it is part of cache keys and journal signatures. Ignored under -faultseed and -engine legacy")
+		slack    = flag.Uint64("slack", 0, "relaxed-synchronization bound in cycles for every run (0 = bit-exact). Nonzero slack perturbs cycle counts boundedly with functional results preserved; it is result-affecting, so it is part of cache keys and journal signatures. Ignored under -faultseed")
 		benchsim = flag.String("benchsim", "", "write a performance snapshot (wall time, ns/cycle, allocs) to this JSON file and exit")
 
 		journal   = flag.String("journal", "", "crash-safe run journal: completed simulations are persisted here and replayed on restart")
@@ -99,20 +72,13 @@ func realMain() int {
 	cfg.GTSCTSBits = *tsbits
 	cfg.TCLease = *tcl
 	cfg.Workers = *jobs
-	cfg.SimWorkers = clampSimWorkers(*jobs, *simw)
 	cfg.FaultSeed = *faultSeed
 	cfg.RetryTransient = *retry
 	cfg.Slack = *slack
 	cfg.KeepGoing = *keepGoing
-	mode, err := sim.ParseEngineMode(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gtscbench:", err)
-		return exitFailure
-	}
-	cfg.Engine = mode
 
 	if *benchsim != "" {
-		b, err := experiments.RunBenchSim(cfg, *jobs, *simw)
+		b, err := experiments.RunBenchSim(cfg, *jobs)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gtscbench:", err)
 			return exitFailure
@@ -125,25 +91,21 @@ func realMain() int {
 			*benchsim, b.Fig12Grid.Simulations,
 			float64(b.Fig12Grid.SerialNs)/1e9, float64(b.Fig12Grid.ParallelNs)/1e9,
 			b.Workers, b.Fig12Grid.Speedup, b.Fig12Grid.BitIdentical)
-		fmt.Printf("bench-sim: single-sim %s: %d/%d run cycles skipped, %d/%d drain cycles skipped; simworkers %d: %.2fx vs serial, tick efficiency %.2f, bit-identical %v\n",
-			b.SingleSim.Workload,
+		fmt.Printf("bench-sim: single-sim %s: %.1f ns/cycle, %d allocs/run; %d/%d run cycles skipped, %d/%d drain cycles skipped\n",
+			b.SingleSim.Workload, b.SingleSim.NsPerSimCycle, b.SingleSim.AllocsPerRun,
 			b.SingleSim.RunCyclesSkipped, b.SingleSim.RunCyclesExecuted+b.SingleSim.RunCyclesSkipped,
-			b.SingleSim.DrainCyclesSkipped, b.SingleSim.DrainCyclesExecuted+b.SingleSim.DrainCyclesSkipped,
-			b.ParallelTick.SimWorkers, b.ParallelTick.Speedup,
-			b.ParallelTick.ParallelTickEfficiency, b.ParallelTick.BitIdentical)
-		fmt.Printf("bench-sim: engine: mode=%s dispatches=%d (hierarchy %d + sm %d) mean_skip=%.1f sm_sleep_cycles=%d sm_wakes=%d; legacy loop %.2fx the wall time, bit-identical %v\n",
-			b.SingleSim.Engine, b.SingleSim.Dispatches, b.SingleSim.EventCycles, b.SingleSim.SMTicks,
-			b.SingleSim.MeanSkipWidth, b.SingleSim.SMSleepCycles, b.SingleSim.SMWakes,
-			b.LegacyLoop.EventSpeedup, b.LegacyLoop.BitIdentical)
-		fmt.Printf("bench-sim: engine: hierarchy dispatch (ticks/sleeps): noc %d/%d dram %d/%d l2 %d/%d l1 %d/%d, sleep fraction %.2f; full-tick mode %.2fx the wall time, bit-identical %v\n",
+			b.SingleSim.DrainCyclesSkipped, b.SingleSim.DrainCyclesExecuted+b.SingleSim.DrainCyclesSkipped)
+		fmt.Printf("bench-sim: engine: dispatches=%d (sm %d) mean_skip=%.1f sm_sleep_cycles=%d sm_wakes=%d\n",
+			b.SingleSim.Dispatches, b.SingleSim.SMTicks,
+			b.SingleSim.MeanSkipWidth, b.SingleSim.SMSleepCycles, b.SingleSim.SMWakes)
+		fmt.Printf("bench-sim: engine: hierarchy dispatch (ticks/sleeps): noc %d/%d dram %d/%d l2 %d/%d l1 %d/%d, sleep fraction %.2f\n",
 			b.SingleSim.NoCTicks, b.SingleSim.NoCSleeps,
 			b.SingleSim.DRAMTicks, b.SingleSim.DRAMSleeps,
 			b.SingleSim.L2Ticks, b.SingleSim.L2Sleeps,
 			b.SingleSim.L1Ticks, b.SingleSim.L1Sleeps,
-			b.SingleSim.HierarchySleepFraction,
-			b.FullTick.CompWakesSpeedup, b.FullTick.BitIdentical)
-		fmt.Printf("bench-sim: relaxed_sync: slack=%d simworkers=%d grid %.2fs -> %.2fs (%.2fx vs serial event engine), cycle deviation mean %.2f%% max %.2f%%, single-sim epochs=%d over %d domains, exchanged=%d held=%d\n",
-			b.RelaxedSync.SlackCycles, b.RelaxedSync.SimWorkers,
+			b.SingleSim.HierarchySleepFraction)
+		fmt.Printf("bench-sim: relaxed_sync: slack=%d grid %.2fs -> %.2fs (%.2fx vs serial event engine), cycle deviation mean %.2f%% max %.2f%%, single-sim epochs=%d over %d domains, exchanged=%d held=%d\n",
+			b.RelaxedSync.SlackCycles,
 			float64(b.RelaxedSync.ExactNs)/1e9, float64(b.RelaxedSync.RelaxedNs)/1e9,
 			b.RelaxedSync.Speedup,
 			b.RelaxedSync.MeanAbsCycleDeviationPct, b.RelaxedSync.MaxAbsCycleDeviationPct,
@@ -184,6 +146,7 @@ func realMain() int {
 		}
 	}
 
+	var err error
 	if *exp == "all" {
 		err = s.RunAll(os.Stdout)
 	} else {

@@ -7,7 +7,6 @@
 //	gtscsim -workload CC -protocol gtsc -consistency rc -sms 16 -banks 8
 //	gtscsim -workload BH,CC,STN -j 4     # several workloads in parallel
 //	gtscsim -workload all -j 0           # every workload, GOMAXPROCS workers
-//	gtscsim -workload CC -simworkers 4   # tick SMs on 4 workers inside the run
 //	gtscsim -list
 //	gtscsim -workload BFS -protocol tc -check
 //	gtscsim -workload CC -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -61,28 +60,6 @@ const (
 
 func main() { os.Exit(realMain()) }
 
-// clampSimWorkers resolves -simworkers against the multi-workload
-// worker count: each worker drives its own simulation, so the
-// goroutine budget is jobs*simworkers. The product is clamped to
-// 2*GOMAXPROCS — results are bit-identical at any setting, so the
-// clamp only bounds scheduler oversubscription, never changes output.
-func clampSimWorkers(jobs, simw int) int {
-	maxprocs := runtime.GOMAXPROCS(0)
-	if jobs <= 0 {
-		jobs = maxprocs
-	}
-	if simw <= 0 {
-		simw = maxprocs
-	}
-	if budget := 2 * maxprocs; jobs*simw > budget {
-		simw = budget / jobs
-	}
-	if simw < 1 {
-		simw = 1
-	}
-	return simw
-}
-
 func realMain() int {
 	var (
 		name     = flag.String("workload", "CC", "workload name, comma-separated list, or \"all\" (see -list)")
@@ -98,10 +75,7 @@ func realMain() int {
 		doCheck  = flag.Bool("check", false, "verify protocol invariants with the operation checker")
 		list     = flag.Bool("list", false, "list workloads and exit")
 		jobs     = flag.Int("j", 1, "workers for multi-workload runs (0 = GOMAXPROCS); each run is hermetic, so output is identical at any -j")
-		simw     = flag.Int("simworkers", 1, "SM tick workers inside each simulation (0 = GOMAXPROCS); with multi-workload -j the goroutine budget is j*simworkers, clamped to 2*GOMAXPROCS; output is bit-identical at any setting")
-		engine   = flag.String("engine", "auto", "cycle engine: auto (scheduled-wake event engine when its preconditions hold), event, or legacy (per-cycle loop); output is bit-identical under either")
-		compW    = flag.Bool("compwakes", true, "per-component wake dispatch under the event engine (quiet cache banks, NoC and DRAM sleep through busy cycles); output is bit-identical either way")
-		slack    = flag.Uint64("slack", 0, "relaxed-synchronization bound in cycles: domains free-run up to this many cycles between epoch barriers (0 = bit-exact). Nonzero slack perturbs cycle counts boundedly; functional results are preserved. Ignored under -faultseed and -engine legacy")
+		slack    = flag.Uint64("slack", 0, "relaxed-synchronization bound in cycles: domains free-run up to this many cycles between epoch barriers (0 = bit-exact). Nonzero slack perturbs cycle counts boundedly; functional results are preserved. Ignored under -faultseed")
 
 		maxCycles = flag.Uint64("maxcycles", 0, "hard per-kernel cycle budget (0 = default 200M)")
 		watchdog  = flag.Uint64("watchdog", 0, "forward-progress watchdog window in cycles (0 = default 100k)")
@@ -206,13 +180,6 @@ func realMain() int {
 	cfg.MaxCycles = *maxCycles
 	cfg.WatchdogWindow = *watchdog
 	cfg.DisableWatchdog = *wdOff
-	switch mode, err := sim.ParseEngineMode(*engine); {
-	case err != nil:
-		fatalf("%v", err)
-	default:
-		cfg.Engine = mode
-	}
-	cfg.DisableComponentWakes = !*compW
 	cfg.SlackCycles = *slack
 	if *faultSeed != 0 {
 		cfg.Mem.Fault = fault.Chaos(*faultSeed)
@@ -252,7 +219,6 @@ func realMain() int {
 		if len(wls) != 1 {
 			fatalf("-checkpoint tracks a single execution; run one workload (got %d)", len(wls))
 		}
-		cfg.SimWorkers = clampSimWorkers(1, *simw)
 		return runCheckpointed(ctx, wls[0], cfg, *scale, *ckpt, *resume)
 	}
 
@@ -275,7 +241,6 @@ func realMain() int {
 	if workers > len(wls) {
 		workers = len(wls)
 	}
-	cfg.SimWorkers = clampSimWorkers(workers, *simw)
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i, wl := range wls {
@@ -421,23 +386,16 @@ func runCheckpointed(ctx context.Context, wl *workload.Workload, cfg sim.Config,
 }
 
 // printEngineLine reports the engine's scheduling counters for one run.
-// mode and simworkers are the EFFECTIVE values (auto-selection resolves
-// against cycle-skip settings and fault injection; -simworkers clamps
-// to GOMAXPROCS, so a 1-CPU host always reports 1). executed/skipped
-// split the simulated cycles by whether the engine ticked them or
-// fast-forwarded over them; dispatches break the executed work into
-// hierarchy and SM evaluations — sleeping SMs are never dispatched, so
-// sm_ticks stays far below executed*numSMs on stall-heavy workloads.
+// executed/skipped split the simulated cycles by whether the engine
+// ticked them or fast-forwarded over them; dispatches break the
+// executed work into hierarchy and SM evaluations — sleeping SMs are
+// never dispatched, so sm_ticks stays far below executed*numSMs on
+// stall-heavy workloads.
 func printEngineLine(eng *sim.EngineStats) {
 	executed := eng.RunCycles + eng.DrainCycles
-	fmt.Printf("engine: mode=%s simworkers=%d executed=%d skipped=%d (windows %d, mean width %.1f) dispatches=%d (hierarchy %d + sm %d) sm_sleep_cycles=%d sm_wakes=%d parallel_tick_efficiency=%.2f\n",
-		eng.Mode(), eng.Workers, executed, eng.SkippedCycles(), eng.SkipWindows, eng.MeanSkipWidth(),
-		eng.Dispatches(), eng.EventCycles, eng.SMTicks, eng.SMSleepCycles, eng.SMWakes,
-		eng.ParallelTickEfficiency())
-	// Per-component dispatch breakdown (event engine with component
-	// wakes on): of the hierarchy dispatches above, which component
-	// Ticks actually ran vs slept. Omitted when the mode never engaged
-	// (legacy engine, -compwakes=false, fault injection).
+	fmt.Printf("engine: mode=%s executed=%d skipped=%d (windows %d, mean width %.1f) dispatches=%d (hierarchy %d + sm %d) sm_sleep_cycles=%d sm_wakes=%d\n",
+		eng.Mode(), executed, eng.SkippedCycles(), eng.SkipWindows, eng.MeanSkipWidth(),
+		eng.Dispatches(), executed, eng.SMTicks, eng.SMSleepCycles, eng.SMWakes)
 	// Relaxed-sync breakdown (only when -slack engaged): epoch count,
 	// how the domains spent the windows (executed vs skipped domain
 	// cycles), and the barrier NoC replay's traffic.
@@ -448,6 +406,9 @@ func printEngineLine(eng *sim.EngineStats) {
 			r.MemDomainCycles, r.MemDomainSkipped,
 			r.ExchangedMsgs, r.HeldMsgs)
 	}
+	// Per-component dispatch breakdown: of the hierarchy dispatches
+	// above, which component Ticks actually ran vs slept. Omitted under
+	// fault injection, where the hierarchy ticks wholesale.
 	c := &eng.Comp
 	if total := c.HierarchyTicks() + c.HierarchySleeps(); total > 0 {
 		fmt.Printf("engine: hierarchy dispatch (ticks/sleeps): noc %d/%d dram %d/%d l2 %d/%d l1 %d/%d, sleep fraction %.2f\n",

@@ -7,7 +7,7 @@
 // disk literally. What CAN be relied on is the engine's determinism:
 // the same configuration and workload replayed in a fresh process
 // passes through bit-identical machine states at every cycle (the
-// property the 84-row golden-fingerprint table pins). A checkpoint
+// property the 96-row golden-fingerprint table pins). A checkpoint
 // therefore records a *coordinate* — workload identity, configuration
 // hash, completed-kernel count and the global cycle — plus an FNV-1a
 // digest of the complete machine state at that coordinate. Restore
@@ -54,7 +54,7 @@ type Checkpoint struct {
 	// replays to Cycle and verifies it reproduced this exact state.
 	Digest uint64
 	// PauseCycles is every stop cycle this execution has paused at, in
-	// order. Under the bit-exact engines a
+	// order. Under the bit-exact engine a
 	// pause is pure suspension and replay could ignore these; under
 	// relaxed sync (SlackCycles > 0) a mid-window pause clamps the
 	// current epoch, inserting an extra exchange that perturbs the
@@ -68,33 +68,32 @@ type Checkpoint struct {
 // ConfigHash canonically hashes a simulator configuration. The
 // Observer is excluded: it receives events but never feeds state back
 // into the simulation, so it does not affect the run's trajectory.
-// SimWorkers, DisableCycleSkip, Engine, DisableComponentWakes and
-// ProfileLabels are excluded for the same reason — they schedule how
-// the engine evaluates cycles (or annotate profiles), never what the
-// machine computes, so a checkpoint taken at one worker count or under
-// one cycle engine restores under any other
-// (TestEngineCheckpointInterop pins both engine directions). Every
-// other field of sim.Config is a plain value, so the rendering is
+// ProfileLabels is excluded for the same reason — it annotates
+// profiles, never what the machine computes. Every other field of
+// sim.Config is a plain value, so the rendering is
 // process-independent.
 //
+// The rendering is fixed: it is the %+v form sim.Config had when the
+// engine still had scheduling knobs (SimWorkers, DisableCycleSkip,
+// Engine, DisableComponentWakes), with those knobs at the values the
+// hash always normalized them to. Checkpoint files and the sweep's
+// content-addressed result keys carry this hash, so keeping the
+// rendering keeps both valid; TestConfigHashPinned pins it and
+// TestConfigHashCoversConfig fails when sim.Config gains a field the
+// rendering does not cover.
+//
 // SlackCycles is excluded as a scheduling knob too, with one caveat:
-// unlike the other excluded knobs, a nonzero slack changes the
-// machine's cycle-by-cycle trajectory (boundedly, functionally
-// equivalently — see sim/relaxed.go). A checkpoint records a state
-// digest, and restore replays from cycle 0 under the restoring
-// process's own config, so restoring a slack-N checkpoint under a
-// different slack fails with ErrDigestMismatch rather than silently
-// diverging. Restore under the same slack that took the checkpoint.
+// a nonzero slack changes the machine's cycle-by-cycle trajectory
+// (boundedly, functionally equivalently — see sim/relaxed.go). A
+// checkpoint records a state digest, and restore replays from cycle 0
+// under the restoring process's own config, so restoring a slack-N
+// checkpoint under a different slack fails with ErrDigestMismatch
+// rather than silently diverging. Restore under the same slack that
+// took the checkpoint.
 func ConfigHash(cfg sim.Config) uint64 {
-	cfg.Observer = nil
-	cfg.SimWorkers = 0
-	cfg.DisableCycleSkip = false
-	cfg.Engine = sim.EngineAuto
-	cfg.DisableComponentWakes = false
-	cfg.ProfileLabels = false
-	cfg.SlackCycles = 0
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", cfg)
+	fmt.Fprintf(h, "{Mem:%+v SM:%+v MaxCycles:%d WatchdogWindow:%d DisableWatchdog:%t Observer:<nil> SimWorkers:0 SlackCycles:0 DisableCycleSkip:false Engine:auto DisableComponentWakes:false ProfileLabels:false}",
+		cfg.Mem, cfg.SM, cfg.MaxCycles, cfg.WatchdogWindow, cfg.DisableWatchdog)
 	return h.Sum64()
 }
 

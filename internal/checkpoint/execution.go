@@ -61,7 +61,7 @@ func (e *Execution) Run(ctx context.Context) (*stats.Run, error) {
 // clock reaches stopAt (0 = run to completion). Resuming a pause — in
 // this process, or in another one via Checkpoint/ResumeExecution —
 // continues the exact suspended trajectory. Under the bit-exact
-// engines that trajectory is also identical to an unpaused run's;
+// engine that trajectory is also identical to an unpaused run's;
 // under relaxed sync (SlackCycles > 0) a mid-window pause clamps the
 // current epoch, which perturbs cycle counts the same bounded,
 // functionally-invisible way slack itself does
@@ -173,7 +173,7 @@ func ResumeExecution(ck *Checkpoint, cfg sim.Config, inst *workload.Instance, na
 	// cycle the original run paused at: under relaxed sync each pause
 	// clamps an epoch and perturbs the trajectory from there on, so the
 	// replay must take the same pause schedule to pass through the same
-	// machine states (under the bit-exact engines the extra pauses are
+	// machine states (under the bit-exact engine the extra pauses are
 	// pure suspension — same trajectory either way). Replaying the
 	// schedule also re-records it, so a resumed execution's own future
 	// checkpoints carry the full history across repeated handoffs.

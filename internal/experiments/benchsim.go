@@ -26,16 +26,13 @@ type BenchSim struct {
 	Workers    int `json:"workers"`
 
 	// Single-simulation cycle-loop cost (BH under G-TSC/RC on the
-	// benchmark machine), averaged over Iterations runs, at
-	// SimWorkers=1 under the scheduled-wake event engine (the default)
-	// and at SimWorkers=N (the barrier-synchronized parallel tick). The
-	// engine breakdown shows where simulated cycles went: executed vs
+	// benchmark machine), averaged over Iterations runs. The engine
+	// breakdown shows where simulated cycles went: executed vs
 	// fast-forwarded, run phase vs drain phase, and how many dispatches
 	// the agenda actually performed.
 	SingleSim struct {
 		Workload      string  `json:"workload"`
 		Protocol      string  `json:"protocol"`
-		Engine        string  `json:"engine"`
 		Iterations    int     `json:"iterations"`
 		SimCycles     uint64  `json:"sim_cycles_per_run"`
 		WallNsPerRun  int64   `json:"wall_ns_per_run"`
@@ -43,7 +40,7 @@ type BenchSim struct {
 		AllocsPerRun  uint64  `json:"allocs_per_run"`
 		BytesPerRun   uint64  `json:"bytes_per_run"`
 
-		// Engine cycle accounting (identical at any SimWorkers).
+		// Engine cycle accounting.
 		RunCyclesExecuted   uint64 `json:"run_cycles_executed"`
 		RunCyclesSkipped    uint64 `json:"run_cycles_skipped"`
 		DrainCyclesExecuted uint64 `json:"drain_cycles_executed"`
@@ -52,23 +49,22 @@ type BenchSim struct {
 
 		// Scheduled-wake dispatch accounting: how much of the machine
 		// the agenda actually evaluated. Dispatches = one hierarchy
-		// dispatch per executed event cycle + one per awake-SM tick;
+		// dispatch per executed cycle + one per awake-SM tick;
 		// SMSleepCycles counts SM-cycles bulk-applied while an SM slept
 		// through executed machine cycles (the per-SM analogue of the
 		// skip counters above).
 		SkipWindows   uint64  `json:"skip_windows"`
 		MeanSkipWidth float64 `json:"mean_skip_width"`
 		Dispatches    uint64  `json:"event_dispatches"`
-		EventCycles   uint64  `json:"event_cycles"`
 		SMTicks       uint64  `json:"sm_ticks"`
 		SMSleepCycles uint64  `json:"sm_sleep_cycles"`
 		SMWakes       uint64  `json:"sm_wakes"`
 
-		// Per-component hierarchy dispatch: of the EventCycles executed,
-		// how many per-cycle component Ticks each class received vs slept
-		// through. ticks + sleeps = EventCycles * class size. The sleep
-		// fraction is the share of hierarchy component-cycles never
-		// evaluated — the work the wholesale tick used to burn on no-ops.
+		// Per-component hierarchy dispatch: of the cycles executed, how
+		// many per-cycle component Ticks each class received vs slept
+		// through. ticks + sleeps = executed cycles * class size. The
+		// sleep fraction is the share of hierarchy component-cycles
+		// never evaluated.
 		NoCTicks               uint64  `json:"noc_ticks"`
 		NoCSleeps              uint64  `json:"noc_sleeps"`
 		DRAMTicks              uint64  `json:"dram_ticks"`
@@ -79,42 +75,6 @@ type BenchSim struct {
 		L1Sleeps               uint64  `json:"l1_sleeps"`
 		HierarchySleepFraction float64 `json:"hierarchy_sleep_fraction"`
 	} `json:"single_sim"`
-
-	// The same single simulation on the event engine with per-component
-	// wakes disabled (every executed cycle ticks the whole hierarchy).
-	// CompWakesSpeedup is the honest mode-vs-mode comparison for the
-	// per-component dispatcher: same engine, same machine, back-to-back.
-	FullTick struct {
-		WallNsPerRun     int64   `json:"wall_ns_per_run"`
-		NsPerSimCycle    float64 `json:"ns_per_sim_cycle"`
-		CompWakesSpeedup float64 `json:"comp_wakes_speedup"`
-		BitIdentical     bool    `json:"bit_identical"`
-	} `json:"full_hierarchy_tick"`
-
-	// The same single simulation forced onto the legacy per-cycle loop
-	// (tick every component every executed cycle, probe-based skipping).
-	// EventSpeedup is the honest engine-vs-engine comparison: same
-	// machine, same process, back-to-back measurement.
-	LegacyLoop struct {
-		WallNsPerRun      int64   `json:"wall_ns_per_run"`
-		NsPerSimCycle     float64 `json:"ns_per_sim_cycle"`
-		RunCyclesExecuted uint64  `json:"run_cycles_executed"`
-		RunCyclesSkipped  uint64  `json:"run_cycles_skipped"`
-		SkipWindows       uint64  `json:"skip_windows"`
-		MeanSkipWidth     float64 `json:"mean_skip_width"`
-		EventSpeedup      float64 `json:"event_engine_speedup"`
-		BitIdentical      bool    `json:"bit_identical"`
-	} `json:"legacy_loop"`
-
-	// The same single simulation under the parallel SM tick.
-	ParallelTick struct {
-		SimWorkers             int     `json:"simworkers"`
-		WallNsPerRun           int64   `json:"wall_ns_per_run"`
-		NsPerSimCycle          float64 `json:"ns_per_sim_cycle"`
-		Speedup                float64 `json:"speedup_vs_simworkers_1"`
-		ParallelTickEfficiency float64 `json:"parallel_tick_efficiency"`
-		BitIdentical           bool    `json:"bit_identical"`
-	} `json:"parallel_tick"`
 
 	// Fig-12 grid wall time: same grid, Workers=1 vs Workers=N, plus
 	// the bit-identity check between the two result sets.
@@ -136,7 +96,6 @@ type BenchSim struct {
 	// skewing it.
 	RelaxedSync struct {
 		SlackCycles uint64  `json:"slack_cycles"`
-		SimWorkers  int     `json:"simworkers"`
 		Rounds      int     `json:"rounds"`
 		Simulations int     `json:"simulations"`
 		ExactNs     int64   `json:"exact_wall_ns"`
@@ -179,26 +138,10 @@ type RelaxedDeviation struct {
 
 // RunBenchSim executes the benchmark harness: cfg sets the machine
 // (tests/CI use a small one), workers the parallel session worker
-// count, simWorkers the intra-simulation SM tick worker count for the
-// parallel-tick measurement (<=1 skips that section's speedup claim
-// but still records the serial numbers).
-func RunBenchSim(cfg Config, workers, simWorkers int) (*BenchSim, error) {
+// count for the Fig-12 grid comparison.
+func RunBenchSim(cfg Config, workers int) (*BenchSim, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if simWorkers <= 0 {
-		simWorkers = runtime.GOMAXPROCS(0)
-	}
-	// The pool sections need schedulable parallelism to engage at all:
-	// on hosts pinned below 4 CPUs the staged-tick pool would silently
-	// clamp to serial (effectiveWorkers) and the efficiency metric
-	// would measure nothing, so the bench raises GOMAXPROCS for its
-	// duration exactly as the parallel regression tests do. NumCPU
-	// still records the real hardware; on a single-CPU host the pool
-	// sections then honestly measure scheduling overhead, not parallel
-	// speedup.
-	if runtime.GOMAXPROCS(0) < 4 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	}
 	out := &BenchSim{
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -206,16 +149,10 @@ func RunBenchSim(cfg Config, workers, simWorkers int) (*BenchSim, error) {
 		Workers:    workers,
 	}
 
-	// Single-sim cycle loop: BH under G-TSC/RC, measured three ways —
-	// event engine with per-component wakes (the default), same engine
-	// with wakes disabled (wholesale hierarchy tick), and the legacy
-	// per-cycle loop. Each mode gets a warmup run, then the timed runs
-	// are interleaved round-robin: on a shared, throttling-prone host,
-	// low-frequency load drift would otherwise land entirely on
-	// whichever mode happened to run in the slow window and invert the
-	// mode-vs-mode ratios. Allocation deltas bracket only the
-	// event-engine run of each round (the runs are strictly sequential,
-	// so the deltas are attributable).
+	// Single-sim cycle loop: BH under G-TSC/RC. A warmup run records
+	// the engine counters; allocation deltas bracket each timed run
+	// (the runs are strictly sequential, so the deltas are
+	// attributable).
 	var wl *workload.Workload
 	for _, w := range workload.All() {
 		if w.Name == "BH" {
@@ -226,7 +163,6 @@ func RunBenchSim(cfg Config, workers, simWorkers int) (*BenchSim, error) {
 	simCfg.Mem.Protocol = memsys.GTSC
 	simCfg.Mem.NumSMs = cfg.NumSMs
 	simCfg.Mem.NumBanks = cfg.NumBanks
-	simCfg.SimWorkers = 1
 	warmSim := sim.New(simCfg)
 	warm, err := wl.Build(cfg.Scale).RunOn(warmSim)
 	if err != nil {
@@ -234,25 +170,9 @@ func RunBenchSim(cfg Config, workers, simWorkers int) (*BenchSim, error) {
 	}
 	warmEng := *warmSim.Engine()
 
-	// Warm the other two modes before any timed round.
-	ftCfg := simCfg
-	ftCfg.DisableComponentWakes = true
-	ftWarm, err := wl.Build(cfg.Scale).Run(ftCfg)
-	if err != nil {
-		return nil, err
-	}
-	legCfg := simCfg
-	legCfg.Engine = sim.EngineLegacy
-	legSim := sim.New(legCfg)
-	legWarm, err := wl.Build(cfg.Scale).RunOn(legSim)
-	if err != nil {
-		return nil, err
-	}
-	legEng := *legSim.Engine()
-
 	const iters = 5
 	var ms0, ms1 runtime.MemStats
-	var wall, ftWall, legWall time.Duration
+	var wall time.Duration
 	var allocs, bytes uint64
 	runtime.GC()
 	for i := 0; i < iters; i++ {
@@ -265,23 +185,10 @@ func RunBenchSim(cfg Config, workers, simWorkers int) (*BenchSim, error) {
 		runtime.ReadMemStats(&ms1)
 		allocs += ms1.Mallocs - ms0.Mallocs
 		bytes += ms1.TotalAlloc - ms0.TotalAlloc
-
-		t0 = time.Now()
-		if _, err := wl.Build(cfg.Scale).Run(ftCfg); err != nil {
-			return nil, err
-		}
-		ftWall += time.Since(t0)
-
-		t0 = time.Now()
-		if _, err := wl.Build(cfg.Scale).Run(legCfg); err != nil {
-			return nil, err
-		}
-		legWall += time.Since(t0)
 	}
 	ss := &out.SingleSim
 	ss.Workload = wl.Name
 	ss.Protocol = "G-TSC/RC"
-	ss.Engine = warmEng.Mode()
 	ss.Iterations = iters
 	ss.SimCycles = warm.Cycles
 	ss.WallNsPerRun = wall.Nanoseconds() / iters
@@ -296,7 +203,6 @@ func RunBenchSim(cfg Config, workers, simWorkers int) (*BenchSim, error) {
 	ss.SkipWindows = warmEng.SkipWindows
 	ss.MeanSkipWidth = warmEng.MeanSkipWidth()
 	ss.Dispatches = warmEng.Dispatches()
-	ss.EventCycles = warmEng.EventCycles
 	ss.SMTicks = warmEng.SMTicks
 	ss.SMSleepCycles = warmEng.SMSleepCycles
 	ss.SMWakes = warmEng.SMWakes
@@ -312,57 +218,12 @@ func RunBenchSim(cfg Config, workers, simWorkers int) (*BenchSim, error) {
 		ss.HierarchySleepFraction = float64(warmEng.Comp.HierarchySleeps()) / float64(total)
 	}
 
-	// Per-component wakes off, same engine: isolates what the
-	// per-component dispatcher buys over the wholesale hierarchy tick.
-	ft := &out.FullTick
-	ft.WallNsPerRun = ftWall.Nanoseconds() / iters
-	ft.NsPerSimCycle = float64(ft.WallNsPerRun) / float64(ftWarm.Cycles)
-	ft.CompWakesSpeedup = float64(ft.WallNsPerRun) / float64(ss.WallNsPerRun)
-	ft.BitIdentical = reflect.DeepEqual(warm, ftWarm)
-
-	// The same simulation on the legacy per-cycle loop: the engine
-	// comparison the event engine is judged by.
-	ll := &out.LegacyLoop
-	ll.WallNsPerRun = legWall.Nanoseconds() / iters
-	ll.NsPerSimCycle = float64(ll.WallNsPerRun) / float64(legWarm.Cycles)
-	ll.RunCyclesExecuted = legEng.RunCycles
-	ll.RunCyclesSkipped = legEng.RunSkipped
-	ll.SkipWindows = legEng.SkipWindows
-	ll.MeanSkipWidth = legEng.MeanSkipWidth()
-	ll.EventSpeedup = float64(ll.WallNsPerRun) / float64(ss.WallNsPerRun)
-	ll.BitIdentical = reflect.DeepEqual(warm, legWarm)
-
-	// Same simulation under the barrier-synchronized parallel tick.
-	// Results must be bit-identical to the serial run; the wall-time
-	// comparison is the honest one (same skip policy on both sides).
-	parSimCfg := simCfg
-	parSimCfg.SimWorkers = simWorkers
-	parWarmSim := sim.New(parSimCfg)
-	parWarm, err := wl.Build(cfg.Scale).RunOn(parWarmSim)
-	if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		if _, err := wl.Build(cfg.Scale).Run(parSimCfg); err != nil {
-			return nil, err
-		}
-	}
-	parWall := time.Since(t0)
-	pt := &out.ParallelTick
-	pt.SimWorkers = simWorkers
-	pt.WallNsPerRun = parWall.Nanoseconds() / iters
-	pt.NsPerSimCycle = float64(pt.WallNsPerRun) / float64(parWarm.Cycles)
-	pt.Speedup = float64(ss.WallNsPerRun) / float64(pt.WallNsPerRun)
-	pt.ParallelTickEfficiency = parWarmSim.Engine().ParallelTickEfficiency()
-	pt.BitIdentical = reflect.DeepEqual(warm, parWarm)
-
 	// Fig-12 grid: serial then parallel, fresh sessions so neither
 	// benefits from the other's cache, then bit-identity.
 	serialCfg := cfg
 	serialCfg.Workers = 1
 	serial := NewSession(serialCfg)
-	t0 = time.Now()
+	t0 := time.Now()
 	if _, err := serial.RunFig12(); err != nil {
 		return nil, err
 	}
@@ -390,12 +251,7 @@ func RunBenchSim(cfg Config, workers, simWorkers int) (*BenchSim, error) {
 	// isolates the engine, not session-level fan-out, and the rounds
 	// are interleaved for the same load-drift reason as the single-sim
 	// section (fresh sessions each round — the result cache would
-	// otherwise turn later rounds into no-ops). The relaxed side
-	// engages its domain pool only when the host has CPUs to run
-	// domains on: with one CPU, epoch barriers would buy pure
-	// park/unpark overhead, so SimWorkers is forced to 1 and the
-	// speedup then measures the epoch engine's serial efficiency alone.
-	// Slack 32 sits at the knee of the slack sweep: with the
+	// otherwise turn later rounds into no-ops). Slack 32 sits at the knee of the slack sweep: with the
 	// delivery-horizon barrier pull-in the mean cycle deviation stays
 	// under ~5%, epoch barriers are amortized enough that doubling the
 	// slack again buys almost nothing, and past the NoC round-trip
@@ -404,17 +260,11 @@ func RunBenchSim(cfg Config, workers, simWorkers int) (*BenchSim, error) {
 	// the pull-in horizon.
 	const relaxSlack = 32
 	const relaxRounds = 3
-	relaxWorkers := simWorkers
-	if runtime.NumCPU() < 2 {
-		relaxWorkers = 1
-	}
 	exactCfg := cfg
 	exactCfg.Workers = 1
-	exactCfg.SimWorkers = 1
 	exactCfg.Slack = 0
 	relaxCfg := cfg
 	relaxCfg.Workers = 1
-	relaxCfg.SimWorkers = relaxWorkers
 	relaxCfg.Slack = relaxSlack
 
 	var exactWall, relaxWall time.Duration
@@ -437,7 +287,6 @@ func RunBenchSim(cfg Config, workers, simWorkers int) (*BenchSim, error) {
 
 	rx := &out.RelaxedSync
 	rx.SlackCycles = relaxSlack
-	rx.SimWorkers = relaxWorkers
 	rx.Rounds = relaxRounds
 	rx.Simulations = len(relaxRuns)
 	rx.ExactNs = exactWall.Nanoseconds() / relaxRounds
@@ -501,7 +350,6 @@ func RunBenchSim(cfg Config, workers, simWorkers int) (*BenchSim, error) {
 	// simulation: the single-sim workload on the relaxed engine.
 	rxCfg := simCfg
 	rxCfg.SlackCycles = relaxSlack
-	rxCfg.SimWorkers = relaxWorkers
 	rxSim := sim.New(rxCfg)
 	if _, err := wl.Build(cfg.Scale).RunOn(rxSim); err != nil {
 		return nil, err

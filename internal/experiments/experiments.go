@@ -56,23 +56,9 @@ type Config struct {
 	// simulator, store, RNG and observer per run — so the results are
 	// bit-identical for any worker count; only wall-clock time changes.
 	Workers int
-	// SimWorkers is the INTRA-simulation parallelism handed to each
-	// run (sim.Config.SimWorkers): SMs inside one simulation tick
-	// concurrently on a barrier-synchronized pool. Like Workers it is
-	// a pure scheduling knob — results and journals are bit-identical
-	// at any setting — and it multiplies: a fan-out uses up to
-	// Workers x SimWorkers goroutines, so keep the product near
-	// GOMAXPROCS (the CLIs clamp it; see EXPERIMENTS.md).
-	SimWorkers int
-	// Engine selects each run's cycle engine (sim.Config.Engine): the
-	// scheduled-wake agenda, the legacy per-cycle loop, or auto. A pure
-	// scheduling knob like SimWorkers — results, journals and cache
-	// keys are engine-independent — exposed so sweeps can pin a loop
-	// for benchmarking or bisection.
-	Engine sim.EngineMode
 	// Slack is each run's relaxed-synchronization bound in cycles
 	// (sim.Config.SlackCycles; 0 = bit-exact execution). Unlike
-	// SimWorkers and Engine this is NOT a pure scheduling knob:
+	// Workers this is NOT a pure scheduling knob:
 	// nonzero slack perturbs cycle counts boundedly (functional
 	// results are preserved — see sim/relaxed.go), so it is part of
 	// the cache key and of the journal's config signature, and
@@ -393,8 +379,6 @@ func (s *Session) simConfig(v variant, attempt int) sim.Config {
 	cfg.SM.Consistency = v.cons
 	cfg.MaxCycles = s.Cfg.MaxCycles
 	cfg.WatchdogWindow = s.Cfg.WatchdogWindow
-	cfg.SimWorkers = s.Cfg.SimWorkers
-	cfg.Engine = s.Cfg.Engine
 	cfg.SlackCycles = s.Cfg.Slack
 	cfg.Mem.GTSC.Lease = s.Cfg.GTSCLease
 	cfg.Mem.GTSC.TSBits = s.Cfg.GTSCTSBits

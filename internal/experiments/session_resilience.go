@@ -45,18 +45,21 @@ type journalRecord struct {
 }
 
 // configSig canonically hashes the result-affecting part of the
-// session configuration. Workers, SimWorkers, RetryTransient and
-// KeepGoing only change scheduling/error handling — results are
-// bit-identical across them — so they are excluded: a journal written
-// at -j 16 -simworkers 4 resumes cleanly at -j 1.
+// session configuration. Workers, RetryTransient and KeepGoing only
+// change scheduling/error handling — results are bit-identical across
+// them — so they are excluded: a journal written at -j 16 resumes
+// cleanly at -j 1.
+//
+// The rendering is fixed: it is the %+v form Config had when sessions
+// still carried the engine knobs SimWorkers and Engine, with those at
+// their zero values, so journals written then still attach.
+// TestConfigSigPinned pins it and TestConfigSigCoversConfig fails when
+// Config gains a field the rendering does not cover.
 func (s *Session) configSig() uint64 {
-	cfg := s.Cfg
-	cfg.Workers = 0
-	cfg.SimWorkers = 0
-	cfg.RetryTransient = 0
-	cfg.KeepGoing = false
+	c := s.Cfg
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", cfg)
+	fmt.Fprintf(h, "{Scale:%d NumSMs:%d NumBanks:%d GTSCLease:%d GTSCTSBits:%d TCLease:%d MaxCycles:%d Workers:0 SimWorkers:0 Engine:auto Slack:%d FaultSeed:%d RetryTransient:0 KeepGoing:false WatchdogWindow:%d}",
+		c.Scale, c.NumSMs, c.NumBanks, c.GTSCLease, c.GTSCTSBits, c.TCLease, c.MaxCycles, c.Slack, c.FaultSeed, c.WatchdogWindow)
 	return h.Sum64()
 }
 

@@ -152,8 +152,7 @@ func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 // DRAM spikes, rollovers, L2->L1 rejects) share the injector's main
 // RNG; the L1->L2 injection-reject path draws from per-lane streams
 // instead (see LaneReject), so the draw order is fixed by each lane's
-// own program order and the schedule replays identically whether SMs
-// tick serially or on the staged parallel pool.
+// own program order.
 type Injector struct {
 	cfg   Config
 	rng   *rng
@@ -193,8 +192,7 @@ func (in *Injector) WrapSender(s coherence.Sender) coherence.Sender {
 // xorshift64* stream, derived deterministically from the plan seed and
 // the lane index, so a lane's draw sequence depends only on how many
 // sends that lane has attempted — not on how SM ticks interleave with
-// other lanes. That makes the fault schedule identical between the
-// serial loop, the staged parallel tick, and any replay of either.
+// other lanes, and any replay reproduces the fault schedule.
 // Returns nil when the plan never rejects, so hot paths can skip the
 // draw entirely.
 func (in *Injector) LaneReject(lane int) func() bool {

@@ -160,10 +160,6 @@ type System struct {
 	inj   *fault.Injector
 	shims []*fault.DelayShim
 
-	// staged interposes each L1's NoC sender for the two-phase
-	// parallel tick (see parallel.go); index = SM id.
-	staged []*stagedSender
-
 	// Relaxed-sync state (see relaxed.go): the run observer and its
 	// per-component staging shims, per-domain outbound epoch buffers,
 	// and the per-port held queues for barrier injections that met a
@@ -195,13 +191,15 @@ type System struct {
 	slotL2   int // first L2 slot
 	slotL1   int // first L1 slot
 
-	// Per-component dispatch state (see wakes.go). compWakes gates the
-	// ingress hooks and the TickDue/RefreshDue pair; clock is the last
-	// cycle handed to Tick/TickDue/SyncClocks, which the hooks need to
-	// compute post-enqueue wakes; the ticked lists record which
-	// components TickDue dispatched this cycle so RefreshDue re-probes
-	// exactly those.
-	compWakes   bool
+	// Per-component dispatch state (see wakes.go). hooks arms the
+	// ingress hooks; it is off under fault injection, where nothing
+	// drains the agenda (every slot is Hot), and between RelaxedBegin
+	// and RelaxedEnd, where relaxed phases tick components outside any
+	// dispatch. clock is the last cycle handed to Tick/TickDue/
+	// SyncClocks, which the hooks need to compute post-enqueue wakes;
+	// the ticked lists record which components TickDue dispatched this
+	// cycle so RefreshDue re-probes exactly those.
+	hooks       bool
 	clock       uint64
 	tickedParts []int
 	tickedL2s   []int
@@ -245,7 +243,7 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 	s.relaxToL1.due = noc.Never
 	s.relaxL1 = make([]*epochBuf, cfg.NumSMs)
 	for i := range s.relaxL1 {
-		s.relaxL1[i] = &epochBuf{} // live wired by each exchange
+		s.relaxL1[i] = &epochBuf{live: &s.relaxToL2}
 	}
 	s.relaxL2 = make([]*epochBuf, cfg.NumBanks)
 	for i := range s.relaxL2 {
@@ -264,9 +262,8 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 	s.L2s = make([]coherence.L2, cfg.NumBanks)
 	sendToL1 := coherence.Sender(coherence.SenderFunc(s.Net.SendToL1))
 	if s.inj != nil {
-		// The L2->L1 path only sends from serial hierarchy phases, so
-		// the shared-stream reject shim stays deterministic at any
-		// worker count.
+		// The L2->L1 path sends from the hierarchy tick, in canonical
+		// bank order, so one shared reject stream is deterministic.
 		sendToL1 = s.inj.WrapSender(sendToL1)
 	}
 	// Per-bank relaxed interposer so epoch buffers can capture each
@@ -324,17 +321,15 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 
 	s.L1s = make([]coherence.L1, cfg.NumSMs)
 	sendToL2 := coherence.Sender(coherence.SenderFunc(s.Net.SendToL2))
-	s.staged = make([]*stagedSender, cfg.NumSMs)
 	for i := range s.L1s {
-		// The L1->L2 path sends from the SM compute phase, which may
-		// run staged and parallel; its fault draw therefore comes from
-		// a per-lane stream inside the staged sender (reject-at-stage)
-		// rather than a shared-stream wrapper. See stagedSender.
-		s.staged[i] = &stagedSender{real: sendToL2, relax: s.relaxL1[i]}
+		// The L1->L2 path draws its fault rejects from a per-lane
+		// stream, so the schedule depends only on the lane's own send
+		// count. See l1Sender.
+		ls := &l1Sender{real: sendToL2, relax: s.relaxL1[i]}
 		if s.inj != nil {
-			s.staged[i].reject = s.inj.LaneReject(i)
+			ls.reject = s.inj.LaneReject(i)
 		}
-		send := coherence.Sender(s.staged[i])
+		send := coherence.Sender(ls)
 		var l1obs coherence.Observer
 		if obs != nil {
 			l1obs = shimObs(obs, &s.l1Obs[i])
@@ -391,6 +386,7 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 		s.shims = append(s.shims, dShim)
 	}
 	s.initWakes()
+	s.hooks = s.inj == nil
 
 	// Ingress hooks for per-component wake dispatch: a delivery marks
 	// its receiver Hot BEFORE the message lands, so a component whose
@@ -399,16 +395,16 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 	// controllers in canonical order, so the mark is always seen by this
 	// cycle's due-check). The hooks wrap whatever delivery path was
 	// wired above — including fault shims, though an active injector
-	// forces compWakes off, making the marks inert no-ops there.
+	// keeps hooks off, making the marks inert no-ops there.
 	deliverL2, deliverL1 := s.Net.DeliverL2, s.Net.DeliverL1
 	s.Net.DeliverL2 = func(bank int, msg *mem.Msg) {
-		if s.compWakes {
+		if s.hooks {
 			s.Wakes.Schedule(s.slotL2+bank, sched.Hot)
 		}
 		deliverL2(bank, msg)
 	}
 	s.Net.DeliverL1 = func(sm int, msg *mem.Msg) {
-		if s.compWakes {
+		if s.hooks {
 			s.Wakes.Schedule(s.slotL1+sm, sched.Hot)
 		}
 		deliverL1(sm, msg)
@@ -416,7 +412,7 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 	for i, p := range s.Parts {
 		bank, fill := i, p.Deliver
 		p.Deliver = func(msg *mem.Msg) {
-			if s.compWakes {
+			if s.hooks {
 				// A DRAM fill is consumed synchronously by the L2
 				// (DRAMFill), which can queue responses the bank's tick
 				// must drain this very cycle.
@@ -433,7 +429,7 @@ func (s *System) dramSender(bank int) coherence.Sender {
 		if !s.Parts[bank].Enqueue(msg) {
 			return false
 		}
-		if s.compWakes {
+		if s.hooks {
 			// The enqueue can pull the partition's wake earlier (an idle
 			// partition was parked at Never); its tick slot for this
 			// cycle has already passed, and NextEvent is always > clock,

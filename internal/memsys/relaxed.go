@@ -8,7 +8,7 @@
 // touches mid-epoch is domain-private; the only cross-domain channel
 // is the NoC, and every NoC injection a domain attempts is captured in
 // that domain's epochBuf tagged with the domain-local cycle. At the
-// barrier the master replays the NoC cycle by cycle over the epoch
+// barrier the exchange replays the NoC cycle by cycle over the epoch
 // window, injecting each buffered message at its tagged cycle in
 // canonical port order, so the wire-level event sequence depends only
 // on what the domains did — never on how their execution interleaved.
@@ -56,14 +56,8 @@ type relaxDir struct {
 // epochBuf collects one component's outbound NoC messages during a
 // relaxed epoch. now is maintained by the domain runner as it ticks.
 //
-// live points at the direction aggregate while the MASTER owns the
-// buffer, and is nil while a domain worker does: SM-domain adds run
-// concurrently across workers and must not touch shared state, so the
-// exchange instead reconciles the toL2 aggregate from a buffer scan
-// at its start, then takes ownership (deliveries during the exchange
-// can trigger further L1 sends, which the gate must see). Bank
-// buffers are master-owned always — banks only tick inside the
-// exchange — so their live stays set permanently.
+// live points at the aggregate of the buffer's direction, which every
+// add keeps current.
 type epochBuf struct {
 	on   bool
 	now  uint64
@@ -73,11 +67,10 @@ type epochBuf struct {
 }
 
 func (b *epochBuf) add(m *mem.Msg) {
-	if d := b.live; d != nil {
-		d.pend++
-		if b.now < d.due {
-			d.due = b.now
-		}
+	d := b.live
+	d.pend++
+	if b.now < d.due {
+		d.due = b.now
 	}
 	b.buf = append(b.buf, taggedMsg{b.now, m})
 }
@@ -100,12 +93,36 @@ func (rs *relaxSender) TrySend(msg *mem.Msg) bool {
 	return rs.real.TrySend(msg)
 }
 
+// l1Sender interposes one L1's request path to the NoC: the fault
+// plan's transient rejects and relaxed-epoch capture. With neither
+// active it is a transparent passthrough.
+//
+// Fault injection draws the transient-reject chance FIRST on every
+// attempt, from this lane's private RNG stream (fault.LaneReject), so
+// the perturbation schedule is a function of the lane's own send
+// count alone.
+type l1Sender struct {
+	real   coherence.Sender
+	reject func() bool // per-lane fault draw; nil when not perturbed
+	relax  *epochBuf
+}
+
+// TrySend implements coherence.Sender.
+func (ls *l1Sender) TrySend(msg *mem.Msg) bool {
+	if ls.reject != nil && ls.reject() {
+		return false // transient fault: indistinguishable from a full port
+	}
+	if ls.relax.on {
+		ls.relax.add(msg)
+		return true
+	}
+	return ls.real.TrySend(msg)
+}
+
 // obsShim interposes one component's view of the run observer. While
-// staging, observations buffer instead of forwarding; the flush
-// re-emits them on the master goroutine in canonical order. Used by
-// both the staged parallel SM tick (flushed per cycle in SM-index
-// order) and relaxed mode (flushed per epoch, merged across
-// components sorted by cycle).
+// staging (relaxed mode), observations buffer instead of forwarding;
+// the flush re-emits them per epoch, merged across components sorted
+// by cycle.
 type obsShim struct {
 	real    coherence.Observer
 	staging bool
@@ -140,8 +157,10 @@ func shimObs(obs coherence.Observer, slot **obsShim) coherence.Observer {
 }
 
 // RelaxedBegin arms the epoch buffers and observer shims for one
-// relaxed run phase.
+// relaxed run phase. Relaxed phases never drain the wake agenda, so
+// the ingress hooks go inert until RelaxedEnd.
 func (s *System) RelaxedBegin() {
+	s.hooks = false
 	for b := range s.relaxPartNext {
 		s.relaxPartNext[b] = 0 // forces a tick on the first exchange cycle
 		s.relaxPartStale[b] = false
@@ -171,6 +190,7 @@ func (s *System) RelaxedBegin() {
 // by the time the phase declares itself drained — Drained() counts
 // them).
 func (s *System) RelaxedEnd() {
+	s.hooks = s.inj == nil
 	for i, b := range s.relaxL1 {
 		if b.pending() != 0 {
 			panic(fmt.Sprintf("memsys: relaxed L1 buffer %d not drained at phase end", i))
@@ -207,7 +227,7 @@ func (s *System) RelaxedTickL1(i int, c uint64) {
 
 // RelaxedExchange is the epoch barrier's coupling phase: it simulates
 // the entire shared side of the machine — the NoC, the L2 banks, and
-// the DRAM partitions — cycle-exactly over (from, to] on the master.
+// the DRAM partitions — cycle-exactly over (from, to].
 // Each replay cycle ticks the network (delivering wire arrivals at
 // their true cycles), injects due L1->L2 buffered messages in
 // canonical SM order, ticks every non-quiescent mem domain (DRAM
@@ -232,25 +252,6 @@ func (s *System) RelaxedTickL1(i int, c uint64) {
 // behind a full port, and the mem-domain cycles executed vs skipped.
 func (s *System) RelaxedExchange(from, to uint64) (injected, held int, memTicks, memSkipped uint64) {
 	banks := uint64(len(s.L2s))
-	// Reconcile the toL2 aggregate from the domain phase's buffered
-	// sends (workers could not maintain it race-free), then take
-	// master ownership so Deliver-triggered L1 sends during the
-	// exchange keep it exact.
-	dl2 := &s.relaxToL2
-	dl2.pend = dl2.held
-	dl2.due = noc.Never
-	for _, b := range s.relaxL1 {
-		dl2.pend += b.pending()
-		if b.cur < len(b.buf) && b.buf[b.cur].at < dl2.due {
-			dl2.due = b.buf[b.cur].at
-		}
-		b.live = dl2
-	}
-	defer func() {
-		for _, b := range s.relaxL1 {
-			b.live = nil
-		}
-	}()
 	// memNext: cycle at which the bank loop must next run while every
 	// bank is quiescent (min of their partitions' next events); any L2
 	// delivery re-engages the loop regardless, detected in O(1) via the

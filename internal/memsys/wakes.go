@@ -4,16 +4,17 @@
 // The agenda holds one slot per hierarchy component in canonical tick
 // order (net, partitions, L2 banks, L1s) plus the SM slots the
 // simulator appends. A slot's wake answers "when could ticking this
-// component next change state?" — exactly the question the legacy
-// engine answered by calling NextEvent/Quiescent probes every cycle.
+// component next change state?".
 //
-// The slots serve two roles. They always bound the machine horizon
-// (how far the clock may jump over fully-idle windows). With
-// per-component wakes enabled they additionally drive DISPATCH:
-// TickDue walks the components in canonical order and ticks only those
-// whose wake is due, so a quiet L2 bank sleeps through cycles on which
-// the rest of the machine is busy. Soundness rests on each component's
-// local contract:
+// The slots serve two roles. They bound the machine horizon (how far
+// the clock may jump over fully-idle windows), and they drive
+// DISPATCH: TickDue walks the components in canonical order and ticks
+// only those whose wake is due, so a quiet L2 bank sleeps through
+// cycles on which the rest of the machine is busy. Under fault
+// injection neither role applies: delay shims hold messages on
+// schedules no wake models, so the hierarchy pins its horizon to now+1
+// and TickDue ticks it wholesale (see SkipSafe). Otherwise soundness
+// rests on each component's local contract:
 //
 //   - NoC: NextWork is a sound lower bound maintained on every
 //     injection (noc.noteWork) and recomputed after every real tick;
@@ -52,10 +53,10 @@ import "github.com/gtsc-sim/gtsc/internal/sched"
 // DispatchStats counts per-component dispatch decisions made by
 // TickDue: for each component class, how many per-cycle ticks were
 // performed vs skipped because the component's wake was not due
-// (sleep-cycles). All zero when per-component wakes are off (the
-// hierarchy is then ticked wholesale). Like the rest of EngineStats
-// these are pure scheduling observability — the same machine state is
-// reached with any dispatch mode.
+// (sleep-cycles). All zero under fault injection (the hierarchy is
+// then ticked wholesale). Like the rest of EngineStats these are pure
+// scheduling observability — the same machine state is reached however
+// the components were dispatched.
 type DispatchStats struct {
 	NoCTicks   uint64
 	NoCSleeps  uint64
@@ -102,19 +103,6 @@ func (s *System) initWakes() {
 // here) so every timed component shares a single deterministic agenda.
 func (s *System) AddSlot() int { return s.Wakes.AddSlot() }
 
-// SetComponentWakes switches per-component dispatch on or off. On, the
-// ingress hooks re-arm receivers and TickDue/RefreshDue drive the
-// cycle; off, the hooks are inert (so the legacy loop never floods the
-// agenda heap with entries nothing drains) and the engine ticks the
-// hierarchy wholesale. Fault-injected runs force it off: delay shims
-// hold messages on schedules the wake registrations do not model.
-func (s *System) SetComponentWakes(on bool) {
-	s.compWakes = on && s.inj == nil
-}
-
-// ComponentWakesOn reports whether per-component dispatch is active.
-func (s *System) ComponentWakesOn() bool { return s.compWakes }
-
 // due reports whether a slot's wake means "tick this cycle": Hot (0)
 // always, Never never, a concrete wake when it has arrived. Overdue
 // concrete wakes (< now) can only arise from the Horizon clamp; they
@@ -135,8 +123,7 @@ func due(wake, now uint64) bool { return wake <= now }
 // exactly as under the wholesale tick.
 func (s *System) TickDue(now uint64, d *DispatchStats) {
 	if s.inj != nil {
-		// Defensive: the engine never routes perturbed runs here, but a
-		// wholesale tick is always correct.
+		// The fault path: the delay shims need Tick's sync and release.
 		s.Tick(now)
 		return
 	}
@@ -183,13 +170,12 @@ func (s *System) TickDue(now uint64, d *DispatchStats) {
 }
 
 // SyncClocks advances component-local clocks across a proven-quiet
-// window without ticking anything. It replaces the wholesale
-// Sys.Tick(j) resync at the end of a fast-forward jump when
-// per-component wakes are on: every slot's wake lies beyond j (that is
-// what made the window skippable), so each component's Tick(j) would
-// be a no-op — except the clock assignment it opens with and, for an
-// L2 bank on a timed wake, the stall cycles it counts, which is
-// exactly what Sync/SyncClock perform across the whole window.
+// window without ticking anything, at the end of a fast-forward jump:
+// every slot's wake lies beyond j (that is what made the window
+// skippable), so each component's Tick(j) would be a no-op — except
+// the clock assignment it opens with and, for an L2 bank on a timed
+// wake, the stall cycles it counts, which is exactly what
+// Sync/SyncClock perform across the whole window.
 // Controller clocks matter even while inert (see
 // coherence.L1.SyncClock); DRAM partitions keep no local clock (all
 // their timing state is absolute).
@@ -204,8 +190,8 @@ func (s *System) SyncClocks(now uint64) {
 	}
 }
 
-// RefreshDue re-registers wakes after an executed cycle under
-// per-component dispatch, touching only the components whose state can
+// RefreshDue re-registers wakes after an executed cycle, touching only
+// the components whose state can
 // have changed: the NoC (always — any L1/SM send this cycle lowered
 // its cached next-work bound, and the read is O(1)), the partitions
 // and controllers that ticked, and the L1s of the SMs in smsTicked (an
@@ -234,22 +220,18 @@ func (s *System) RefreshDue(now uint64, smsTicked []int) {
 }
 
 // refreshL2 registers bank i's wake: Never when quiescent, the bank's
-// TimedWake when its only work is time-driven, Hot otherwise. Timed
-// wakes need per-component dispatch: only TickDue and SyncClocks keep
-// a sleeping bank's clock (and with it its bulk stall counts) current
-// on every cycle it skips, while the wholesale Tick would jump it
-// across a skip window in one step.
+// TimedWake when its only work is time-driven, Hot otherwise. TickDue
+// and SyncClocks keep a sleeping bank's clock (and with it its bulk
+// stall counts) current on every cycle it skips.
 func (s *System) refreshL2(i int, now uint64) {
 	l2 := s.L2s[i]
 	if l2.Quiescent() {
 		s.Wakes.Schedule(s.slotL2+i, sched.Never)
 		return
 	}
-	if s.compWakes {
-		if at, ok := l2.TimedWake(now); ok {
-			s.Wakes.Schedule(s.slotL2+i, at)
-			return
-		}
+	if at, ok := l2.TimedWake(now); ok {
+		s.Wakes.Schedule(s.slotL2+i, at)
+		return
 	}
 	s.Wakes.Schedule(s.slotL2+i, sched.Hot)
 }
@@ -274,14 +256,14 @@ func (s *System) refreshL1(i int) {
 //     them) or must tick every cycle (Hot), except an L2 whose only
 //     work is time-driven, which sleeps until its TimedWake.
 //
-// Under per-component dispatch this full scan runs only at phase entry
-// (after between-phase work like the kernel-boundary L1 flush, or an
-// engine switch across a checkpoint, mutated components outside any
-// dispatch); steady-state cycles use the incremental RefreshDue.
+// This full scan runs only at phase entry (after between-phase work
+// like the kernel-boundary L1 flush, a checkpoint restore, or a
+// relaxed phase mutated components outside any dispatch); steady-state
+// cycles use the incremental RefreshDue.
 //
 // Fault shims hold messages on schedules the probes do not model, so
-// perturbed runs never use the agenda (see SkipSafe); RefreshWakes
-// pins the horizon to Hot in that case as a defensive backstop.
+// under an injector RefreshWakes (like RefreshDue) pins the NoC slot
+// Hot, which keeps every executed cycle's horizon at now+1.
 func (s *System) RefreshWakes(now uint64) {
 	if s.inj != nil {
 		s.Wakes.Schedule(s.slotNet, sched.Hot)
@@ -297,4 +279,64 @@ func (s *System) RefreshWakes(now uint64) {
 	for i := range s.L1s {
 		s.refreshL1(i)
 	}
+}
+
+// SkipSafe reports whether the engine may trust wake claims: skip
+// cycles, sleep components, and run relaxed epochs. Fault shims hold
+// messages with release schedules the next-event query does not
+// model, so perturbed runs tick every component every cycle.
+func (s *System) SkipSafe() bool { return s.inj == nil }
+
+// NextEvent returns the earliest future cycle (> now) at which ticking
+// the hierarchy could change any state. While any controller is
+// non-quiescent the answer is now+1 (it mutates state every tick);
+// otherwise only the NoC wire/ports and DRAM schedules hold events.
+func (s *System) NextEvent(now uint64) uint64 {
+	if s.inj != nil {
+		return now + 1
+	}
+	for _, l2 := range s.L2s {
+		if !l2.Quiescent() {
+			return now + 1
+		}
+	}
+	for _, l1 := range s.L1s {
+		if !l1.Quiescent() {
+			return now + 1
+		}
+	}
+	next := s.Net.NextEvent(now)
+	for _, p := range s.Parts {
+		next = min(next, p.NextEvent(now))
+	}
+	return next
+}
+
+// Drained is the O(1)-per-component equivalent of Pending() == 0,
+// cheap enough for the drain loop to evaluate every cycle.
+func (s *System) Drained() bool {
+	if s.Net.Pending() != 0 {
+		return false
+	}
+	for _, sh := range s.shims {
+		if sh.Pending() != 0 {
+			return false
+		}
+	}
+	for _, p := range s.Parts {
+		if p.Pending() != 0 {
+			return false
+		}
+	}
+	for _, l1 := range s.L1s {
+		if l1.Pending() != 0 {
+			return false
+		}
+	}
+	for _, l2 := range s.L2s {
+		if !l2.Drained() {
+			return false
+		}
+	}
+	return s.relaxPending() == 0
 }

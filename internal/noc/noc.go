@@ -454,13 +454,3 @@ func (n *Network) NextL1Arrival(now uint64) uint64 {
 	}
 	return next
 }
-
-// InjectSpaceToL2 returns how many more messages SM sm's injection
-// port accepts before backpressuring. The port only drains inside
-// Tick, so during the SM compute phase (which runs after the network
-// tick) the vacancy is exact — the staged-commit machinery uses it to
-// admit precisely the sends that would have succeeded serially.
-func (n *Network) InjectSpaceToL2(sm int) int {
-	p := n.toL2[sm]
-	return p.cap - p.len()
-}

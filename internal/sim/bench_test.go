@@ -30,28 +30,19 @@ func BenchmarkDrainPhase(b *testing.B) {
 	}
 }
 
-// BenchmarkCycleSkip measures quiescence fast-forwarding on a
-// memory-bound golden row (BH spends most of its cycles stalled on
-// DRAM): the run with skipping enabled executes far fewer real ticks
-// for the identical simulated cycle count and identical stats.
+// BenchmarkCycleSkip measures the engine on a memory-bound golden row
+// (BH spends most of its cycles stalled on DRAM, so quiescence
+// fast-forwarding and SM sleep carry most of the simulated cycles).
 func BenchmarkCycleSkip(b *testing.B) {
 	wl, ok := workload.ByName("BH")
 	if !ok {
 		b.Fatal("workload BH missing")
 	}
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"skip", false}, {"noskip", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg, _ := goldenConfig("gtsc-rc")
-			cfg.DisableCycleSkip = mode.disable
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := wl.Build(1).Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cfg, _ := goldenConfig("gtsc-rc")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := wl.Build(1).Run(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

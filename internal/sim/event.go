@@ -1,37 +1,40 @@
-// The scheduled-wake (event-driven) cycle engine.
+// The cycle engine: a scheduled-wake (event-driven) loop.
 //
-// The legacy loop asks every component every cycle whether ticking it
-// would matter (trySkipRun's NextEvent/Quiesce probes) and only skips
-// when the WHOLE machine is simultaneously inert. This engine inverts
-// the contract: components register their next wake cycle on an agenda
+// Components register their next wake cycle on an agenda
 // (internal/sched) whenever their state changes, and the loop advances
-// time straight to the agenda horizon. Two independent levers fall out:
+// time straight to the agenda horizon instead of asking every
+// component every cycle whether ticking it would matter. Three levers
+// fall out:
 //
-//   - machine-level skips no longer pay an O(components) probe per
-//     cycle — the horizon is an O(1) agenda query off cached wakes;
+//   - machine-level skips cost an O(1) agenda query off cached wakes,
+//     not an O(components) probe per cycle;
 //   - SMs sleep INDIVIDUALLY: a stall-quiesced SM is simply not ticked
 //     while the rest of the machine executes, and its provably
 //     identical stall cycles are bulk-applied on wake-up
-//     (gpu.SkipCycles). The legacy loop could only skip an SM's stall
-//     cycles when every other component was idle too;
+//     (gpu.SkipCycles);
 //   - hierarchy components sleep individually too: on each executed
 //     cycle, memsys.TickDue dispatches Tick only to the L1s, L2 banks,
-//     NoC, and DRAM partitions whose agenda wake is due, instead of
-//     ticking the machine wholesale (Config.DisableComponentWakes
-//     restores the wholesale behaviour for comparison).
+//     NoC, and DRAM partitions whose agenda wake is due.
 //
-// Bit-identity argument (DESIGN.md §7 carries the full version): the
-// engine executes exactly the cycles the legacy loop executes; on each
-// of them it ticks the due hierarchy components in the wholesale
-// tick's canonical order while the skipped ones were provably no-ops
-// (quiescent controller, pre-deadline DRAM, pre-wake NoC — the
-// contracts in memsys/wakes.go); and it ticks every SM either really
-// (awake) or as a bulk-applied pure stall whose per-cycle effects the
-// Quiesce probe proved constant. All sampling boundaries (watchdog,
-// ctx poll, checkpoint pauses, the (now|63)+1 cap) are preserved, so
-// every check fires at the same cycle with the same state, and no
-// lazily-slept state ever crosses a pause point: every exit path
-// flushes sleeping SMs first, which keeps checkpoints engine-agnostic.
+// Bit-identity with a plain tick-everything-every-cycle loop rests on
+// two arguments (DESIGN.md §7 carries the full version). First, agenda
+// dispatch matches the canonical tick order: on every executed cycle
+// the due hierarchy components tick in the wholesale tick's order, the
+// skipped ones were provably no-ops (quiescent controller,
+// pre-deadline DRAM, pre-wake NoC — the contracts in memsys/wakes.go),
+// and every SM ticks either really (awake) or as a bulk-applied pure
+// stall whose per-cycle effects the Quiesce probe proved constant.
+// Second, the fault path keeps every slot Hot: under an active fault
+// injector the delay shims hold messages on schedules no wake models,
+// so the hierarchy pins its horizon to now+1, TickDue ticks it
+// wholesale through Sys.Tick (which syncs and releases the shims), and
+// no SM sleeps — every cycle executes and every component ticks.
+//
+// All sampling boundaries (watchdog, ctx poll, checkpoint pauses, the
+// (now|63)+1 cap) are executed cycles, so every check fires at the
+// same cycle with the same state, and no lazily-slept state ever
+// crosses a pause point: every exit path flushes sleeping SMs first,
+// which keeps checkpoints independent of when the engine slept what.
 package sim
 
 import (
@@ -54,22 +57,9 @@ type eventState struct {
 	act    []uint64         // scratch: ActiveCycles before this cycle's tick
 	due    []int            // scratch: awake SM indices this cycle
 
-	// compWakes mirrors Config.DisableComponentWakes for the running
-	// phase: true means executed cycles dispatch the hierarchy through
-	// TickDue/RefreshDue (per-component sleep) instead of the wholesale
-	// Tick/RefreshWakes pair.
-	compWakes bool
-}
-
-// useEventEngine reports whether the next phase runs on the
-// scheduled-wake engine. Fault-injected runs fall back to the legacy
-// loop for the same reason they disable cycle skipping: delay shims
-// hold messages on schedules the wake registrations do not model.
-func (s *Simulator) useEventEngine() bool {
-	if s.Cfg.Engine == EngineLegacy || s.Cfg.DisableCycleSkip {
-		return false
-	}
-	return s.Sys.SkipSafe()
+	// hot pins every SM slot Hot for the running phase: set under fault
+	// injection (see the file comment), where no SM may sleep.
+	hot bool
 }
 
 func (s *Simulator) ensureEventState() *eventState {
@@ -98,7 +88,7 @@ func (s *Simulator) ensureEventState() *eventState {
 // every point control can leave the event loop — pause, cancellation,
 // completion, error, deadlock — so that no lazily-deferred state is
 // observable from outside: stats, dumps, and checkpoint digests are
-// identical to the legacy loop's at the same cycle.
+// identical to a tick-every-cycle loop's at the same cycle.
 func (s *Simulator) flushSMs() {
 	ev := s.ev
 	if ev == nil {
@@ -119,45 +109,30 @@ func (s *Simulator) flushSMs() {
 	}
 }
 
-// runPhaseEvent is the event-driven main cycle loop. Per iteration it
-// either executes one cycle (hierarchy tick + awake-SM ticks + wake
-// refresh) or jumps the clock to just before the agenda horizon,
-// capped — exactly like trySkipRun — at the watchdog/ctx-poll sampling
-// boundary (now|63)+1, the MaxCycles budget, and the pause point, so
-// every check below fires at the same cycles as under the legacy loop.
-func (s *Simulator) runPhaseEvent(ctx context.Context, stopAt uint64) (bool, error) {
+// runPhase executes the main cycle loop until every warp retires,
+// handing the phase to the relaxed engine when SlackCycles asks for it.
+// Per iteration it either executes one cycle (hierarchy tick +
+// awake-SM ticks + wake refresh) or jumps the clock to just before the
+// agenda horizon, capped at the watchdog/ctx-poll sampling boundary
+// (now|63)+1, the MaxCycles budget, and the pause point. The order of
+// checks per iteration is part of the determinism contract (see
+// advance).
+func (s *Simulator) runPhase(ctx context.Context, stopAt uint64) (bool, error) {
+	if s.useRelaxed() {
+		return s.runPhaseRelaxed(ctx, stopAt)
+	}
 	st := s.cur
 	ev := s.ensureEventState()
-	workers := s.effectiveWorkers()
-	par := workers > 1
-	var pool *tickPool
-	if par {
-		pool = newTickPool(s.SMs, workers)
-		defer pool.shutdown()
-		for _, sm := range s.SMs {
-			sm.SetDeferFills(true)
-		}
-		defer func() {
-			for _, sm := range s.SMs {
-				sm.SetDeferFills(false)
-			}
-		}()
-		s.eng.Workers = workers
-	} else {
-		s.eng.Workers = 1
-	}
 
 	// Phase entry: everything awake (slots Hot) with stats current
 	// through s.now, wakes re-registered from live component state.
-	// This also erases any slot state a previous phase (or the other
-	// engine) left behind, which is what makes engines freely mixable
-	// across pause/resume. The full RefreshWakes scan (not the
-	// incremental RefreshDue) is required here: between-phase work —
-	// the kernel-boundary L1 flush, a checkpoint restore, cycles run on
-	// the other engine — mutates components outside any dispatch.
+	// This also erases any slot state a previous phase left behind. The
+	// full RefreshWakes scan (not the incremental RefreshDue) is
+	// required here: between-phase work — the kernel-boundary L1 flush,
+	// a checkpoint restore, a relaxed phase — mutates components
+	// outside any dispatch.
 	s.flushSMs()
-	ev.compWakes = !s.Cfg.DisableComponentWakes
-	s.Sys.SetComponentWakes(ev.compWakes)
+	ev.hot = !s.Sys.SkipSafe()
 	for i := range s.SMs {
 		ev.clocks[i] = s.now
 		s.Sys.Wakes.Schedule(ev.smBase+i, sched.Hot)
@@ -180,24 +155,18 @@ func (s *Simulator) runPhaseEvent(ctx context.Context, stopAt uint64) (bool, err
 			return false, s.deadlock(st.kernel.Name, "run", "max-cycles", s.now-st.lastProgress)
 		}
 		pl.set(pl.agenda)
-		if !s.trySkipEvent(st.start+s.Cfg.MaxCycles, stopAt, true) {
+		if !s.trySkip(st.start+s.Cfg.MaxCycles, stopAt, true) {
 			s.now++
 			pl.set(pl.hierarchy)
-			if ev.compWakes {
-				s.Sys.TickDue(s.now, &s.eng.Comp)
-			} else {
-				s.Sys.Tick(s.now)
-			}
+			s.Sys.TickDue(s.now, &s.eng.Comp)
 			pl.set(pl.smTick)
-			s.tickSMsEvent(pool, par)
+			s.tickSMs()
+			// Forced mid-run §V-D rollovers (fault plans only): after
+			// the SM ticks, on every executed cycle.
+			s.Sys.TickRollover(s.now)
 			pl.set(pl.agenda)
-			if ev.compWakes {
-				s.Sys.RefreshDue(s.now, ev.due)
-			} else {
-				s.Sys.RefreshWakes(s.now)
-			}
+			s.Sys.RefreshDue(s.now, ev.due)
 			s.eng.RunCycles++
-			s.eng.EventCycles++
 		}
 		if err := s.Sys.Err(); err != nil {
 			s.flushSMs()
@@ -207,6 +176,10 @@ func (s *Simulator) runPhaseEvent(ctx context.Context, stopAt uint64) (bool, err
 			s.flushSMs()
 			return false, nil
 		}
+		// Forward-progress watchdog: sample the monotone activity
+		// counters every 64 cycles; a window with no change anywhere in
+		// the machine is a deadlock, reported with a state dump long
+		// before the MaxCycles budget would expire.
 		if !s.Cfg.DisableWatchdog && s.now&63 == 0 {
 			if sig := s.progressSig(); sig != st.lastSig {
 				st.lastSig = sig
@@ -219,17 +192,15 @@ func (s *Simulator) runPhaseEvent(ctx context.Context, stopAt uint64) (bool, err
 	}
 }
 
-// trySkipEvent fast-forwards to just before the agenda horizon. The
-// horizon is now+1 whenever any slot is Hot (an awake SM, a
-// non-quiescent controller) — identical to the legacy condition "some
-// component would do work next cycle" — so a jump here proves the
-// machine fully inert for the window, and the single Sys.Tick(j)
-// resync is a no-op exactly as in trySkipRun. Under per-component
-// wakes even that wholesale no-op tick is elided: every slot's wake
-// lies beyond j, so the only state a Tick(j) would touch is the NoC's
-// local clock, which SyncClocks advances directly. Sleeping SMs' stall
-// stats stay deferred: the skipped window lies inside their sleep.
-func (s *Simulator) trySkipEvent(budgetCap, stopAt uint64, run bool) bool {
+// trySkip fast-forwards to just before the agenda horizon. The horizon
+// is now+1 whenever any slot is Hot (an awake SM, a non-quiescent
+// controller, the hierarchy under fault injection), so a jump here
+// proves the machine fully inert for the window: every slot's wake
+// lies beyond j, so the only state a tick of any component would touch
+// is its local clock, which SyncClocks advances directly. Sleeping
+// SMs' stall stats stay deferred: the skipped window lies inside their
+// sleep.
+func (s *Simulator) trySkip(budgetCap, stopAt uint64, run bool) bool {
 	horizon := s.Sys.Wakes.Horizon(s.now)
 	if horizon <= s.now+1 {
 		return false
@@ -243,11 +214,7 @@ func (s *Simulator) trySkipEvent(budgetCap, stopAt uint64, run bool) bool {
 	}
 	k := j - s.now
 	s.now = j
-	if s.ev.compWakes {
-		s.Sys.SyncClocks(j)
-	} else {
-		s.Sys.Tick(j)
-	}
+	s.Sys.SyncClocks(j)
 	if run {
 		s.eng.RunSkipped += k
 	} else {
@@ -258,16 +225,15 @@ func (s *Simulator) trySkipEvent(budgetCap, stopAt uint64, run bool) bool {
 	return true
 }
 
-// tickSMsEvent runs the SM side of one executed cycle. Sleeping SMs
-// wake when their probe's wake cycle arrives or a memory completion
-// landed on them (the hierarchy tick for this cycle already ran, so
+// tickSMs runs the SM side of one executed cycle. Sleeping SMs wake
+// when their probe's wake cycle arrives or a memory completion landed
+// on them (the hierarchy tick for this cycle already ran, so
 // this-cycle deliveries are visible); waking bulk-applies the deferred
 // stall cycles before the real tick. Awake SMs tick in canonical index
-// order — serially, or via the pool's due-list with the same staged
-// commit as the legacy parallel path. After ticking, any SM that
-// issued nothing and probes quiescent goes to sleep, registering its
-// wake on the agenda.
-func (s *Simulator) tickSMsEvent(pool *tickPool, par bool) {
+// order. After ticking, any SM that issued nothing and probes
+// quiescent goes to sleep, registering its wake on the agenda — unless
+// the phase keeps every slot Hot.
+func (s *Simulator) tickSMs() {
 	ev := s.ev
 	now := s.now
 	due := ev.due[:0]
@@ -288,30 +254,17 @@ func (s *Simulator) tickSMsEvent(pool *tickPool, par bool) {
 		due = append(due, i)
 	}
 	ev.due = due
-	if len(due) > 0 {
-		s.eng.SMTickCycles++
-		if par {
-			s.Sys.BeginSMStage()
-			pool.tick(now, due)
-			s.Sys.CommitSMStage()
-			for _, sm := range s.SMs {
-				sm.CommitFill()
-			}
-			s.eng.ParallelCycles++
-		} else {
-			for _, i := range due {
-				s.SMs[i].Tick(now)
-			}
-		}
-		s.eng.SMTicks += uint64(len(due))
+	for _, i := range due {
+		s.SMs[i].Tick(now)
 	}
-	// Stall-onset probe, after fills committed so liveWarps is final.
-	// A zero-issue tick means the scheduler scanned every non-skipped
-	// warp without issuing, so the probe's view is exactly this tick's.
+	s.eng.SMTicks += uint64(len(due))
+	// Stall-onset probe. A zero-issue tick means the scheduler scanned
+	// every non-skipped warp without issuing, so the probe's view is
+	// exactly this tick's.
 	for _, i := range due {
 		sm := s.SMs[i]
 		ev.clocks[i] = now
-		if sm.Stats().ActiveCycles != ev.act[i] {
+		if ev.hot || sm.Stats().ActiveCycles != ev.act[i] {
 			continue
 		}
 		if p, ok := sm.Quiesce(); ok {
@@ -325,15 +278,16 @@ func (s *Simulator) tickSMsEvent(pool *tickPool, par bool) {
 	}
 }
 
-// drainPhaseEvent is the event-driven kernel-boundary drain. SMs are
-// never ticked during drain (their warps have all retired), so their
-// slots are parked at Never and only the hierarchy drives the horizon.
-func (s *Simulator) drainPhaseEvent(ctx context.Context, stopAt uint64) (bool, error) {
+// drainPhase ticks the hierarchy until no in-flight work remains. SMs
+// are never ticked during drain (their warps have all retired), so
+// their slots are parked at Never and only the hierarchy drives the
+// horizon. The loop condition is the O(1) Drained query, not a full
+// Pending scan — the scan walked every MSHR and queue in the machine
+// every cycle and dominated short kernels (see BenchmarkDrainPhase).
+func (s *Simulator) drainPhase(ctx context.Context, stopAt uint64) (bool, error) {
 	st := s.cur
 	ev := s.ensureEventState()
 	s.flushSMs()
-	ev.compWakes = !s.Cfg.DisableComponentWakes
-	s.Sys.SetComponentWakes(ev.compWakes)
 	for i := range s.SMs {
 		s.Sys.Wakes.Schedule(ev.smBase+i, sched.Never)
 	}
@@ -351,22 +305,13 @@ func (s *Simulator) drainPhaseEvent(ctx context.Context, stopAt uint64) (bool, e
 			return false, s.deadlock(st.kernel.Name, "drain", "max-cycles", s.now-st.lastProgress)
 		}
 		pl.set(pl.agenda)
-		if !s.trySkipEvent(s.now+(s.Cfg.MaxCycles-st.guard), stopAt, false) {
+		if !s.trySkip(s.now+(s.Cfg.MaxCycles-st.guard), stopAt, false) {
 			s.now++
 			pl.set(pl.hierarchy)
-			if ev.compWakes {
-				s.Sys.TickDue(s.now, &s.eng.Comp)
-			} else {
-				s.Sys.Tick(s.now)
-			}
+			s.Sys.TickDue(s.now, &s.eng.Comp)
 			pl.set(pl.agenda)
-			if ev.compWakes {
-				s.Sys.RefreshDue(s.now, nil)
-			} else {
-				s.Sys.RefreshWakes(s.now)
-			}
+			s.Sys.RefreshDue(s.now, nil)
 			s.eng.DrainCycles++
-			s.eng.EventCycles++
 		}
 		if err := s.Sys.Err(); err != nil {
 			return false, s.attachDump(err)

@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"hash/fnv"
-	"os"
 
 	"github.com/gtsc-sim/gtsc/internal/dram"
 	"github.com/gtsc-sim/gtsc/internal/gpu"
@@ -52,16 +51,6 @@ func main() {
 				cfg.Mem.DRAM = dram.DefaultBankedConfig()
 			}
 			cfg.Mem.GTSC.TSBits = c.tsbits
-			// Same override the golden tests honor: CI's drift check
-			// regenerates the table under both dispatch modes, and the
-			// output must be identical either way.
-			switch v := os.Getenv("GTSC_COMPONENT_WAKES"); v {
-			case "", "on", "1":
-			case "off", "0":
-				cfg.DisableComponentWakes = true
-			default:
-				panic(fmt.Sprintf("GTSC_COMPONENT_WAKES: want on/1/off/0, got %q", v))
-			}
 			run, err := wl.Build(1).Run(cfg)
 			if err != nil {
 				panic(fmt.Sprintf("%s/%s: %v", wl.Name, c.label, err))

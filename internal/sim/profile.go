@@ -1,4 +1,4 @@
-// pprof phase attribution for the cycle engines.
+// pprof phase attribution for the cycle engine and relaxed sync.
 //
 // A CPU profile of a simulation is dominated by three interleaved
 // activities — the memory-hierarchy tick, the SM tick, and the engine's
@@ -20,10 +20,9 @@ const (
 	phaseLabelSM        = "sm-tick"
 	phaseLabelAgenda    = "agenda"
 
-	// Relaxed-sync engine phases: a domain free-running through its
-	// epoch window (set on whichever goroutine runs the domain, so
-	// multi-core time attributes correctly), the barrier's NoC replay,
-	// and the rest of the barrier (commits, observer merge, checks).
+	// Relaxed-sync engine phases: the SM domains free-running through
+	// their epoch window, the barrier's NoC replay, and the rest of the
+	// barrier (commits, observer merge, checks).
 	phaseLabelDomainRun = "domain-run"
 	phaseLabelExchange  = "noc-exchange"
 	phaseLabelBarrier   = "epoch-barrier"

@@ -1,33 +1,32 @@
 // The relaxed-synchronization (bounded-slack) cycle engine.
 //
-// The bit-exact engines synchronize every component every cycle (or
-// prove whole windows inert before skipping them). This engine — the
+// The bit-exact engine synchronizes every component every cycle (or
+// proves whole windows inert before skipping them). This engine — the
 // structure of "Parallelizing a modern GPU simulator" (arXiv
 // 2502.14691) — instead partitions the machine into domains that
 // share no mutable state mid-epoch:
 //
 //   - one domain per SM: the SM plus its private L1 (SM domains run
-//     concurrently on the worker pool when GOMAXPROCS allows);
+//     one after another in SM index order);
 //   - the shared side — the NoC, every L2 bank, and every DRAM
 //     partition — which never runs inside an epoch at all: it is
-//     simulated cycle-exactly by the master during the barrier's
-//     coupling phase (memsys.RelaxedExchange), in canonical order,
-//     which keeps the shared G-TSC reset controller and the
-//     functional backing store deterministic without locks.
+//     simulated cycle-exactly during the barrier's coupling phase
+//     (memsys.RelaxedExchange), in canonical order, which keeps the
+//     shared G-TSC reset controller and the functional backing store
+//     deterministic.
 //
 // Each SM domain free-runs up to SlackCycles cycles, capturing every
 // outbound NoC injection in a cycle-tagged epoch buffer. At the epoch
-// barrier the master replays the whole shared side over the window —
+// barrier the exchange replays the whole shared side over the window —
 // injecting buffered requests at their tagged cycles, ticking the
 // banks so those requests are serviced at their true arrival cycles,
 // and putting the responses on the wire within the same window — then
 // commits deferred CTA refills in SM order and merges staged
 // observations in canonical cycle order. The schedule of every domain
 // therefore depends only on its own state and the barrier-delivered
-// inputs — never on goroutine interleaving — so a relaxed run is
-// deterministic at any worker count, including serial (GOMAXPROCS=1),
-// where the same epoch structure is executed inline and still wins by
-// amortizing per-cycle engine bookkeeping over whole epochs.
+// inputs. The engine wins by amortizing per-cycle engine bookkeeping
+// over whole epochs, not by parallelism: a per-SM epoch costs too
+// little for a cross-core barrier to pay (DESIGN.md §7).
 //
 // What slack perturbs, and what it cannot (DESIGN.md §7 carries the
 // full argument): an SM's outbound request is replayed at its true
@@ -41,7 +40,7 @@
 // memory state, workload verification, and coherence invariants are
 // preserved exactly while cycle counts drift boundedly. At
 // SlackCycles=0 this engine never engages and the golden-pinned
-// bit-exact engines run unchanged.
+// bit-exact engine runs unchanged.
 package sim
 
 import (
@@ -62,39 +61,25 @@ const relaxFine = 8
 // lazily allocated on the first relaxed phase and reused across
 // kernels.
 type relaxedState struct {
-	pool *tickPool // domain pool (nil when effective workers == 1)
-
-	// Epoch window published to the domain runners before the pool
-	// barrier (the epoch bump's release/acquire pair orders it).
-	from uint64
-
-	// Per-SM-domain scratch, each entry owned by whichever goroutine
-	// runs that domain this epoch.
+	// Per-SM-domain scratch.
 	smTicks   []uint64
 	smSkipped []uint64
 	asleep    []bool           // domain slept through its last epoch tail...
 	probes    []gpu.StallProbe // ...justified by this probe...
 	comps     []uint64         // ...taken at this sm.Completions() count
 
-	// Shared-side (mem) cycle accounting from the barrier exchange
-	// (master-owned).
+	// Shared-side (mem) cycle accounting from the barrier exchange.
 	memTicks   uint64
 	memSkipped uint64
-
-	pl phaseLabels
 }
 
 // useRelaxed reports whether the next run phase executes bounded-slack
 // epochs. Fault injection forces SlackCycles=0 semantics (SkipSafe is
 // false under an injector): perturbation schedules are defined in
 // terms of exact per-cycle interleaving, and the chaos harness pins
-// bit-exact replay from a seed. Legacy-engine requests and
-// DisableCycleSkip also disengage it — both demand per-cycle ticking.
+// bit-exact replay from a seed.
 func (s *Simulator) useRelaxed() bool {
-	return s.Cfg.SlackCycles > 0 &&
-		s.Cfg.Engine != EngineLegacy &&
-		!s.Cfg.DisableCycleSkip &&
-		s.Sys.SkipSafe()
+	return s.Cfg.SlackCycles > 0 && s.Sys.SkipSafe()
 }
 
 func (s *Simulator) ensureRelaxed() *relaxedState {
@@ -127,9 +112,6 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 	rx := s.ensureRelaxed()
 	slack := s.Cfg.SlackCycles
 
-	// Relaxed phases never drain the wake agenda, so the ingress hooks
-	// must be inert (same contract as the legacy loop).
-	s.Sys.SetComponentWakes(false)
 	s.Sys.RelaxedBegin()
 	defer s.Sys.RelaxedEnd()
 	for _, sm := range s.SMs {
@@ -151,24 +133,15 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 		rx.memTicks, rx.memSkipped = 0, 0
 	}()
 
-	domains := len(s.SMs) // the shared side runs at the barrier, not in the pool
-	workers := s.effectiveWorkers()
-	if workers > 1 {
-		rx.pool = newWorkPool(domains, workers, s.relaxedDomain)
-		defer func() {
-			rx.pool.shutdown()
-			rx.pool = nil
-		}()
-	}
-	s.eng.Workers = workers
+	domains := len(s.SMs) // the shared side runs at the barrier
 	s.eng.Relaxed.SlackCycles = slack
 	if s.eng.Relaxed.DomainEpochs == nil {
 		// +1: the final entry counts barrier exchanges that ticked the
 		// shared mem side at least once.
 		s.eng.Relaxed.DomainEpochs = make([]uint64, domains+1)
 	}
-	rx.pl = s.newPhaseLabels()
-	defer rx.pl.clear()
+	pl := s.newPhaseLabels()
+	defer pl.clear()
 
 	for {
 		if stopAt != 0 && s.now >= stopAt {
@@ -191,7 +164,7 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 		// flight, end the window at its (sound lower bound) arrival
 		// cycle instead of the full slack bound, rounded up to the
 		// fine grid so barrier positions stay phase-anchored (pause
-		// and worker-count determinism). This caps the latency a
+		// determinism). This caps the latency a
 		// round trip gains from free-running at relaxFine instead of
 		// SlackCycles, which is what keeps cycle deviation flat as
 		// slack grows. The horizon is a function of barrier-time
@@ -212,23 +185,18 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 		}
 
 		// Domain-run phase: every domain free-runs (from, to].
-		rx.from = from
-		rx.pl.set(rx.pl.domainRun)
-		if rx.pool != nil {
-			rx.pool.tick(to, nil)
-		} else {
-			for d := 0; d < domains; d++ {
-				s.relaxedDomain(d, to)
-			}
+		pl.set(pl.domainRun)
+		for d := 0; d < domains; d++ {
+			s.relaxedRunSM(d, from, to)
 		}
 
 		// Epoch barrier: simulate the shared side (NoC + L2 banks +
 		// DRAM) cycle-exactly over the window, land the global clock,
 		// then (grid barriers only) commit deferred CTA refills in
 		// canonical SM order.
-		rx.pl.set(rx.pl.exchange)
+		pl.set(pl.exchange)
 		injected, held, mticks, mskipped := s.Sys.RelaxedExchange(from, to)
-		rx.pl.set(rx.pl.barrier)
+		pl.set(pl.barrier)
 		s.now = to
 		s.eng.Relaxed.Epochs++
 		s.eng.Relaxed.ExchangedMsgs += uint64(injected)
@@ -264,14 +232,6 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 			}
 		}
 	}
-}
-
-// relaxedDomain runs one SM domain through the published epoch window
-// — the pool work function (also called inline when serial).
-func (s *Simulator) relaxedDomain(d int, to uint64) {
-	rx := s.rx
-	rx.pl.set(rx.pl.domainRun)
-	s.relaxedRunSM(d, rx.from, to)
 }
 
 // relaxedRunSM free-runs SM domain i over (from, to]. Mid-epoch the

@@ -7,7 +7,6 @@ package sim
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"github.com/gtsc-sim/gtsc/internal/coherence"
 	"github.com/gtsc-sim/gtsc/internal/diag"
@@ -53,63 +52,24 @@ type Config struct {
 	// shared instance.
 	Observer coherence.Observer
 
-	// SimWorkers ticks SMs concurrently on a persistent worker pool
-	// during the run phase (1 or 0 = the serial loop). This is a pure
-	// SCHEDULING knob: the two-phase tick stages every SM's outbound
-	// message, its observations, and its fault draws, and commits them
-	// in canonical SM order, so results — every stat, every golden
-	// fingerprint, every checkpoint digest, every observer stream —
-	// are bit-identical at any worker count, including under observers
-	// and fault injection. The engine clamps the request to GOMAXPROCS
-	// (GOMAXPROCS==1 always runs serial — the barrier pool loses money
-	// without real CPUs) and to the SM count; EngineStats.Workers
-	// reports the effective value. See DESIGN.md §7.
-	SimWorkers int
-
 	// SlackCycles enables relaxed-synchronization (bounded-slack)
 	// execution: the machine is partitioned into domains (each SM with
 	// its L1; each L2 bank with its DRAM partition) that free-run up
 	// to SlackCycles cycles between epoch barriers, where cross-domain
 	// NoC traffic is exchanged in canonical order. 0 (the default)
-	// keeps the bit-exact engines. N > 0 is an opt-in fast mode: final
+	// keeps the bit-exact engine. N > 0 is an opt-in fast mode: final
 	// memory state, workload verification, and coherence invariants
 	// are preserved exactly, but cycle counts and timing-derived stats
 	// deviate boundedly (deliveries cross at barriers, so a message
 	// can land up to N cycles later than bit-exact execution; see
 	// DESIGN.md §7). Relaxed mode disengages automatically — falling
-	// back to the bit-exact engines — under fault injection, a legacy
-	// engine request, or DisableCycleSkip, all of which demand exact
-	// per-cycle interleaving. EngineStats.Relaxed reports what the
-	// mode did; checkpoint ConfigHash excludes the knob (checkpoints
-	// pause at epoch barriers, and a digest only matches a replay run
-	// at the same slack).
+	// back to the bit-exact engine — under fault injection, whose
+	// perturbation schedules demand exact per-cycle interleaving.
+	// EngineStats.Relaxed reports what the mode did; checkpoint
+	// ConfigHash excludes the knob (checkpoints pause at epoch
+	// barriers, and a digest only matches a replay run at the same
+	// slack).
 	SlackCycles uint64
-
-	// DisableCycleSkip turns off quiescence fast-forwarding, which
-	// advances the clock over provably idle cycles (all SMs stalled,
-	// no NoC/DRAM event due). Also a pure scheduling knob: skipping is
-	// gated on proofs that the skipped ticks were no-ops, so results
-	// are bit-identical either way. Exposed for debugging and for the
-	// engine benchmarks' baseline measurements. Disabling cycle skip
-	// also disables the event engine (its horizons are the same proofs).
-	DisableCycleSkip bool
-
-	// Engine selects the cycle engine (see EngineMode). Like SimWorkers
-	// and DisableCycleSkip this is a pure scheduling knob: every stat,
-	// golden fingerprint, and checkpoint digest is bit-identical under
-	// either engine, and a checkpoint taken under one resumes under the
-	// other (TestEngineCheckpointInterop pins both directions).
-	Engine EngineMode
-
-	// DisableComponentWakes keeps the event engine but ticks the whole
-	// memory hierarchy on every executed cycle instead of dispatching
-	// per-component wakes (quiet cache banks, NoC, and DRAM partitions
-	// sleeping through busy cycles). Another pure scheduling knob —
-	// results are bit-identical either way (the CI GTSC_COMPONENT_WAKES
-	// matrix leg and TestComponentWakesGoldenEquivalence pin it) —
-	// exposed for the engine benchmarks' back-to-back comparison and
-	// for bisecting a suspected dispatch bug.
-	DisableComponentWakes bool
 
 	// ProfileLabels annotates the engine's hot phases with pprof
 	// goroutine labels (engine_phase = sm-tick / hierarchy-tick /
@@ -119,50 +79,6 @@ type Config struct {
 	// on together with -cpuprofile. Scheduling-only: labels never feed
 	// back into the simulation.
 	ProfileLabels bool
-}
-
-// EngineMode selects how the cycle loop advances time.
-type EngineMode uint8
-
-const (
-	// EngineAuto (the default) uses the scheduled-wake event engine
-	// whenever its preconditions hold — cycle skipping enabled and no
-	// fault injection — and falls back to the legacy per-cycle probe
-	// loop otherwise. See DESIGN.md §7.
-	EngineAuto EngineMode = iota
-	// EngineEvent requests the event engine explicitly. It still falls
-	// back exactly like EngineAuto when the preconditions fail; the
-	// value exists so CLIs and tests can state intent.
-	EngineEvent
-	// EngineLegacy forces the legacy loop: tick every component every
-	// executed cycle, probing for skippable windows (trySkipRun).
-	EngineLegacy
-)
-
-// String names the mode as the CLIs' -engine flag spells it.
-func (m EngineMode) String() string {
-	switch m {
-	case EngineEvent:
-		return "event"
-	case EngineLegacy:
-		return "legacy"
-	default:
-		return "auto"
-	}
-}
-
-// ParseEngineMode parses the -engine flag / GTSC_ENGINE spelling of an
-// engine mode ("auto", "event", "legacy"; "" = auto).
-func ParseEngineMode(s string) (EngineMode, error) {
-	switch s {
-	case "", "auto":
-		return EngineAuto, nil
-	case "event":
-		return EngineEvent, nil
-	case "legacy":
-		return EngineLegacy, nil
-	}
-	return EngineAuto, fmt.Errorf("unknown engine mode %q (want auto, event, or legacy)", s)
 }
 
 // DefaultConfig returns the paper's machine: 16 SMs x 48 warps over a
@@ -219,10 +135,9 @@ type Simulator struct {
 	cur         *runState // non-nil while a kernel is paused mid-execution
 	kernelsDone int       // kernels run to completion on this simulator
 
-	eng    EngineStats      // engine scheduling counters (see engine.go)
-	probes []gpu.StallProbe // per-SM quiescence scratch (skip hot path)
-	ev     *eventState      // scheduled-wake engine state (see event.go)
-	rx     *relaxedState    // relaxed-sync engine state (see relaxed.go)
+	eng EngineStats   // engine scheduling counters (see engine.go)
+	ev  *eventState   // scheduled-wake engine state (see event.go)
+	rx  *relaxedState // relaxed-sync engine state (see relaxed.go)
 
 	// cfgErr holds a configuration validation failure detected at New
 	// time. New keeps its no-error signature (a Simulator is still
@@ -388,114 +303,6 @@ func (s *Simulator) advance(ctx context.Context, stopAt uint64) (*stats.Run, boo
 	return run, false, nil
 }
 
-// runPhase executes the main cycle loop until every warp retires.
-//
-// When the scheduled-wake engine's preconditions hold this dispatches
-// to runPhaseEvent (see event.go), which pops the component agenda
-// instead of probing the whole machine every cycle. The legacy loop
-// below has two engine accelerations, both bit-identical to the plain
-// serial loop by construction (TestParallelTickGoldenEquivalence pins
-// this over every golden row):
-//
-//   - a two-phase parallel SM tick (compute concurrently into staged
-//     buffers, commit in canonical SM order), used whenever
-//     SimWorkers > 1 — observer streams and fault draws are staged and
-//     replayed in the same canonical order (see memsys);
-//   - quiescence cycle-skipping (trySkipRun), which fast-forwards the
-//     clock over cycles that are provably pure stalls.
-//
-// The order of checks per iteration is part of the determinism
-// contract (see advance); a skipped window preserves every check's
-// firing cycle by landing on each sampling boundary.
-func (s *Simulator) runPhase(ctx context.Context, stopAt uint64) (bool, error) {
-	if s.useRelaxed() {
-		return s.runPhaseRelaxed(ctx, stopAt)
-	}
-	if s.useEventEngine() {
-		return s.runPhaseEvent(ctx, stopAt)
-	}
-	// The legacy loop never calls TickDue, so the ingress hooks must be
-	// inert: with nothing draining the agenda heap, their registrations
-	// would accumulate unread.
-	s.Sys.SetComponentWakes(false)
-	st := s.cur
-	workers := s.effectiveWorkers()
-	par := workers > 1
-	var pool *tickPool
-	if par {
-		pool = newTickPool(s.SMs, workers)
-		defer pool.shutdown()
-		for _, sm := range s.SMs {
-			sm.SetDeferFills(true)
-		}
-		defer func() {
-			for _, sm := range s.SMs {
-				sm.SetDeferFills(false)
-			}
-		}()
-		s.eng.Workers = workers
-	} else {
-		s.eng.Workers = 1
-	}
-	skipOK := !s.Cfg.DisableCycleSkip && s.Sys.SkipSafe()
-	for {
-		if stopAt != 0 && s.now >= stopAt {
-			return true, nil
-		}
-		if s.now&ctxPollMask == 0 && ctx.Err() != nil {
-			return true, s.canceled(ctx, "run")
-		}
-		if s.budgetExhausted(s.now - st.start) {
-			return false, s.deadlock(st.kernel.Name, "run", "max-cycles", s.now-st.lastProgress)
-		}
-		if !skipOK || !s.trySkipRun(st, stopAt) {
-			s.now++
-			s.Sys.Tick(s.now)
-			if par {
-				// Compute phase: SMs tick concurrently, their NoC
-				// injections staged per SM. Commit phase: replay the
-				// staged messages and any deferred CTA refills in SM
-				// index order — the serial loop's order exactly.
-				s.Sys.BeginSMStage()
-				pool.tick(s.now, nil)
-				s.Sys.CommitSMStage()
-				for _, sm := range s.SMs {
-					sm.CommitFill()
-				}
-				s.eng.ParallelCycles++
-			} else {
-				for _, sm := range s.SMs {
-					sm.Tick(s.now)
-				}
-			}
-			// Forced mid-run §V-D rollovers (fault plans only; fault
-			// plans force the legacy loop, so this is the single firing
-			// point — on the master goroutine, after the commit phase).
-			s.Sys.TickRollover(s.now)
-			s.eng.RunCycles++
-			s.eng.SMTickCycles++ // the legacy loop ticks SMs every executed cycle
-		}
-		if err := s.Sys.Err(); err != nil {
-			return false, s.attachDump(err)
-		}
-		if s.done() {
-			return false, nil
-		}
-		// Forward-progress watchdog: sample the monotone activity
-		// counters every 64 cycles; a window with no change anywhere in
-		// the machine is a deadlock, reported with a state dump long
-		// before the MaxCycles budget would expire.
-		if !s.Cfg.DisableWatchdog && s.now&63 == 0 {
-			if sig := s.progressSig(); sig != st.lastSig {
-				st.lastSig = sig
-				st.lastProgress = s.now
-			} else if s.now-st.lastProgress >= s.Cfg.WatchdogWindow {
-				return false, s.deadlock(st.kernel.Name, "run", "no-forward-progress", s.now-st.lastProgress)
-			}
-		}
-	}
-}
-
 // endRunPhase assembles the kernel's statistics and starts the
 // kernel-boundary flush, transitioning the state machine to the drain
 // phase.
@@ -529,47 +336,6 @@ func (s *Simulator) endRunPhase() error {
 	st.lastSig = s.progressSig()
 	st.lastProgress = s.now
 	return nil
-}
-
-// drainPhase ticks the hierarchy until no in-flight work remains. The
-// loop condition is the O(1) Drained query, not a full Pending scan —
-// the scan walked every MSHR and queue in the machine every cycle and
-// dominated short kernels (see BenchmarkDrainPhase).
-func (s *Simulator) drainPhase(ctx context.Context, stopAt uint64) (bool, error) {
-	if s.useEventEngine() {
-		return s.drainPhaseEvent(ctx, stopAt)
-	}
-	s.Sys.SetComponentWakes(false)
-	st := s.cur
-	skipOK := !s.Cfg.DisableCycleSkip && s.Sys.SkipSafe()
-	for ; !s.Sys.Drained(); st.guard++ {
-		if stopAt != 0 && s.now >= stopAt {
-			return true, nil
-		}
-		if s.now&ctxPollMask == 0 && ctx.Err() != nil {
-			return true, s.canceled(ctx, "drain")
-		}
-		if s.budgetExhausted(st.guard) {
-			return false, s.deadlock(st.kernel.Name, "drain", "max-cycles", s.now-st.lastProgress)
-		}
-		if !skipOK || !s.trySkipDrain(st, stopAt) {
-			s.now++
-			s.Sys.Tick(s.now)
-			s.eng.DrainCycles++
-		}
-		if err := s.Sys.Err(); err != nil {
-			return false, s.attachDump(err)
-		}
-		if !s.Cfg.DisableWatchdog && s.now&63 == 0 {
-			if sig := s.progressSig(); sig != st.lastSig {
-				st.lastSig = sig
-				st.lastProgress = s.now
-			} else if s.now-st.lastProgress >= s.Cfg.WatchdogWindow {
-				return false, s.deadlock(st.kernel.Name, "drain", "no-forward-progress", s.now-st.lastProgress)
-			}
-		}
-	}
-	return false, nil
 }
 
 // canceled builds the structured cancellation error. The machine stays

