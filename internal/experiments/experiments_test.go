@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"hash/fnv"
 	"strings"
 	"testing"
 )
@@ -255,5 +256,12 @@ func TestRunAllTiny(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("suite output missing %q", want)
 		}
+	}
+	// The whole report is pinned: every cell, including the extension
+	// sweeps on overridden machines, must reproduce bit for bit.
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	if got, want := h.Sum64(), uint64(0xaef386970e705fe0); got != want {
+		t.Fatalf("RunAll output digest = %#x, pinned %#x", got, want)
 	}
 }

@@ -77,6 +77,38 @@ func TestCacheKeyingNoCollision(t *testing.T) {
 		}
 		keys[k] = v
 	}
+	// The exact strings are pinned: journals written by earlier
+	// sessions replay only if every key renders as it did then.
+	for _, c := range []struct {
+		v    variant
+		want string
+	}{
+		{vBL, "BH/2/1/0/false/false/false/0/0"},
+		{vGTSCRC, "BH/0/1/0/false/false/false/0/0"},
+		{vGTSCSC, "BH/0/0/0/false/false/false/0/0"},
+		{vTCRC, "BH/1/1/0/false/false/false/0/0"},
+		{vTCSC, "BH/1/0/0/false/false/false/0/0"},
+		{vL1NC, "BH/3/1/0/false/false/false/0/0"},
+		{variants[1], "BH/0/1/0/false/false/true/0/0"},
+		{variants[2], "BH/0/1/0/true/false/false/0/0"},
+		{variants[3], "BH/0/1/0/false/true/false/0/0"},
+		{variants[4], "BH/0/1/12/false/false/false/0/0"},
+	} {
+		if got := s.key("BH", c.v); got != c.want {
+			t.Errorf("key(BH, %+v) = %q, pinned %q", c.v, got, c.want)
+		}
+	}
+	// Microbenchmark cells share the key space with the benchmarks, so
+	// their names must never collide.
+	bench := map[string]bool{}
+	for _, wl := range workload.All() {
+		bench[wl.Name] = true
+	}
+	for _, m := range workload.Micro() {
+		if bench[m.Name] {
+			t.Errorf("micro %s shares its name with a benchmark", m.Name)
+		}
+	}
 	// And the runs must actually execute separately.
 	wl := workload.CoherenceSet()[0]
 	for _, v := range variants {
