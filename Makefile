@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-sim vet fmt cover evaluate examples clean check smoke modelcheck
+.PHONY: all build test bench vet fmt cover evaluate examples clean check smoke modelcheck
 
 all: build test
 
@@ -36,17 +36,6 @@ test:
 # One testing.B benchmark per paper table/figure (+ extensions).
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# Simulator performance snapshot: single-sim ns/cycle and allocs (with
-# the skipped-cycle and per-component dispatch breakdowns), Fig-12 grid
-# wall time serial vs parallel, and relaxed-sync vs the exact engine
-# (see EXPERIMENTS.md).
-# Half the paper machine (8 SMs / 8 banks at scale 2): large enough
-# that engine cost, not per-simulation construction, dominates the
-# wall time the snapshot tracks.
-bench-sim:
-	$(GO) run ./cmd/gtscbench -benchsim BENCH_sim.json -scale 2 -sms 8 -banks 8 -j 4
-	@cat BENCH_sim.json
 
 vet:
 	$(GO) vet ./...

@@ -7,13 +7,12 @@
 //
 //	gtscbench                  # full suite at paper scale
 //	gtscbench -exp fig12       # one experiment
-//	gtscbench -exp lease       # an extension (lease, tso, scale, micro, platform, cache)
+//	gtscbench -exp lease       # an extension (lease, tso, scale, micro, platform, cache, dir)
 //	gtscbench -scale 1 -sms 8  # smaller machine / inputs
 //	gtscbench -j 8             # fan simulations across 8 workers
 //	gtscbench -journal sweep.jrnl       # crash-safe: rerun with the same journal to resume
 //	gtscbench -timeout 10m              # bound wall-clock time (suspends gracefully)
 //	gtscbench -keep-going               # survive per-run failures; print partial figures
-//	gtscbench -benchsim BENCH_sim.json  # perf snapshot (see EXPERIMENTS.md)
 //
 // A sweep run with -journal survives kill -9: every completed
 // simulation is fsynced to the journal before its result is used, and
@@ -45,16 +44,15 @@ func main() { os.Exit(realMain()) }
 
 func realMain() int {
 	var (
-		exp      = flag.String("exp", "all", "experiment: all, table2, fig12..fig17, expiry, vis, combine, lease, tso, scale, micro, platform, cache")
-		scale    = flag.Int("scale", 2, "workload scale factor")
-		sms      = flag.Int("sms", 16, "number of SMs")
-		banks    = flag.Int("banks", 8, "number of L2 banks")
-		lease    = flag.Uint64("gtsc-lease", 10, "G-TSC logical lease")
-		tsbits   = flag.Int("tsbits", 0, "G-TSC timestamp width in bits (0 = protocol default 16; narrow widths make the §V-D overflow reset routine)")
-		tcl      = flag.Uint64("tc-lease", 400, "TC lease in cycles")
-		jobs     = flag.Int("j", 0, "simulation workers (0 = GOMAXPROCS, 1 = serial); results are bit-identical at any -j")
-		slack    = flag.Uint64("slack", 0, "relaxed-synchronization bound in cycles for every run (0 = bit-exact). Nonzero slack perturbs cycle counts boundedly with functional results preserved; it is result-affecting, so it is part of cache keys and journal signatures. Ignored under -faultseed")
-		benchsim = flag.String("benchsim", "", "write a performance snapshot (wall time, ns/cycle, allocs) to this JSON file and exit")
+		exp    = flag.String("exp", "all", "experiment: all, table2, fig12..fig17, expiry, vis, combine, lease, tso, scale, micro, platform, cache, dir")
+		scale  = flag.Int("scale", 2, "workload scale factor")
+		sms    = flag.Int("sms", 16, "number of SMs")
+		banks  = flag.Int("banks", 8, "number of L2 banks")
+		lease  = flag.Uint64("gtsc-lease", 10, "G-TSC logical lease")
+		tsbits = flag.Int("tsbits", 0, "G-TSC timestamp width in bits (0 = protocol default 16; narrow widths make the §V-D overflow reset routine)")
+		tcl    = flag.Uint64("tc-lease", 400, "TC lease in cycles")
+		jobs   = flag.Int("j", 0, "simulation workers (0 = GOMAXPROCS, 1 = serial); results are bit-identical at any -j")
+		slack  = flag.Uint64("slack", 0, "relaxed-synchronization bound in cycles for every run (0 = bit-exact). Nonzero slack perturbs cycle counts boundedly with functional results preserved; it is result-affecting, so it is part of cache keys and journal signatures. Ignored under -faultseed")
 
 		journal   = flag.String("journal", "", "crash-safe run journal: completed simulations are persisted here and replayed on restart")
 		timeout   = flag.Duration("timeout", 0, "bound wall-clock time; on expiry the sweep suspends gracefully and exits 3")
@@ -76,43 +74,6 @@ func realMain() int {
 	cfg.RetryTransient = *retry
 	cfg.Slack = *slack
 	cfg.KeepGoing = *keepGoing
-
-	if *benchsim != "" {
-		b, err := experiments.RunBenchSim(cfg, *jobs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gtscbench:", err)
-			return exitFailure
-		}
-		if err := b.WriteJSON(*benchsim); err != nil {
-			fmt.Fprintln(os.Stderr, "gtscbench:", err)
-			return exitFailure
-		}
-		fmt.Printf("bench-sim: %s written (fig12 grid: %d sims, serial %.2fs, parallel %.2fs at %d workers, speedup %.2fx, bit-identical %v)\n",
-			*benchsim, b.Fig12Grid.Simulations,
-			float64(b.Fig12Grid.SerialNs)/1e9, float64(b.Fig12Grid.ParallelNs)/1e9,
-			b.Workers, b.Fig12Grid.Speedup, b.Fig12Grid.BitIdentical)
-		fmt.Printf("bench-sim: single-sim %s: %.1f ns/cycle, %d allocs/run; %d/%d run cycles skipped, %d/%d drain cycles skipped\n",
-			b.SingleSim.Workload, b.SingleSim.NsPerSimCycle, b.SingleSim.AllocsPerRun,
-			b.SingleSim.RunCyclesSkipped, b.SingleSim.RunCyclesExecuted+b.SingleSim.RunCyclesSkipped,
-			b.SingleSim.DrainCyclesSkipped, b.SingleSim.DrainCyclesExecuted+b.SingleSim.DrainCyclesSkipped)
-		fmt.Printf("bench-sim: engine: dispatches=%d (sm %d) mean_skip=%.1f sm_sleep_cycles=%d sm_wakes=%d\n",
-			b.SingleSim.Dispatches, b.SingleSim.SMTicks,
-			b.SingleSim.MeanSkipWidth, b.SingleSim.SMSleepCycles, b.SingleSim.SMWakes)
-		fmt.Printf("bench-sim: engine: hierarchy dispatch (ticks/sleeps): noc %d/%d dram %d/%d l2 %d/%d l1 %d/%d, sleep fraction %.2f\n",
-			b.SingleSim.NoCTicks, b.SingleSim.NoCSleeps,
-			b.SingleSim.DRAMTicks, b.SingleSim.DRAMSleeps,
-			b.SingleSim.L2Ticks, b.SingleSim.L2Sleeps,
-			b.SingleSim.L1Ticks, b.SingleSim.L1Sleeps,
-			b.SingleSim.HierarchySleepFraction)
-		fmt.Printf("bench-sim: relaxed_sync: slack=%d grid %.2fs -> %.2fs (%.2fx vs serial event engine), cycle deviation mean %.2f%% max %.2f%%, single-sim epochs=%d over %d domains, exchanged=%d held=%d\n",
-			b.RelaxedSync.SlackCycles,
-			float64(b.RelaxedSync.ExactNs)/1e9, float64(b.RelaxedSync.RelaxedNs)/1e9,
-			b.RelaxedSync.Speedup,
-			b.RelaxedSync.MeanAbsCycleDeviationPct, b.RelaxedSync.MaxAbsCycleDeviationPct,
-			b.RelaxedSync.Epochs, len(b.RelaxedSync.DomainEpochs),
-			b.RelaxedSync.ExchangedMsgs, b.RelaxedSync.HeldMsgs)
-		return exitOK
-	}
 
 	// First SIGINT/SIGTERM: cancel the session; in-flight simulations
 	// suspend at their next poll point, the journal already holds every

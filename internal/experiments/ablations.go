@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"github.com/gtsc-sim/gtsc/internal/workload"
 )
@@ -134,16 +135,16 @@ func (r *AblationCombining) Print(w io.Writer) {
 	fmt.Fprintf(w, "geomean request increase from forward-all: %.0f%% (paper: 12-35%%)\n", 100*r.MsgIncrease)
 }
 
-// RunAll executes every experiment and prints each in order — the
-// cmd/gtscbench entry point.
-func (s *Session) RunAll(w io.Writer) error {
-	fmt.Fprintf(w, "G-TSC experiment suite (scale %d, %d SMs, %d L2 banks, G-TSC lease %d, TC lease %d)\n\n",
-		s.Cfg.Scale, s.Cfg.NumSMs, s.Cfg.NumBanks, s.Cfg.GTSCLease, s.Cfg.TCLease)
-	type exp struct {
-		name string
-		run  func() (interface{ Print(io.Writer) }, error)
-	}
-	exps := []exp{
+// driver is one named experiment of the suite.
+type driver struct {
+	name string
+	run  func() (interface{ Print(io.Writer) }, error)
+}
+
+// drivers lists every experiment in RunAll order; RunOne looks names
+// up here.
+func (s *Session) drivers() []driver {
+	return []driver{
 		{"table2", func() (interface{ Print(io.Writer) }, error) { return s.RunTableII() }},
 		{"fig12", func() (interface{ Print(io.Writer) }, error) { return s.RunFig12() }},
 		{"fig13", func() (interface{ Print(io.Writer) }, error) { return s.RunFig13() }},
@@ -162,10 +163,17 @@ func (s *Session) RunAll(w io.Writer) error {
 		{"cache", func() (interface{ Print(io.Writer) }, error) { return s.RunCacheSweep() }},
 		{"dir", func() (interface{ Print(io.Writer) }, error) { return s.RunDirectoryCompare() }},
 	}
-	for _, e := range exps {
-		res, err := e.run()
+}
+
+// RunAll executes every experiment and prints each in order — the
+// cmd/gtscbench entry point.
+func (s *Session) RunAll(w io.Writer) error {
+	fmt.Fprintf(w, "G-TSC experiment suite (scale %d, %d SMs, %d L2 banks, G-TSC lease %d, TC lease %d)\n\n",
+		s.Cfg.Scale, s.Cfg.NumSMs, s.Cfg.NumBanks, s.Cfg.GTSCLease, s.Cfg.TCLease)
+	for _, d := range s.drivers() {
+		res, err := d.run()
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.name, err)
+			return fmt.Errorf("%s: %w", d.name, err)
 		}
 		res.Print(w)
 		fmt.Fprintln(w)
@@ -174,51 +182,20 @@ func (s *Session) RunAll(w io.Writer) error {
 }
 
 // RunOne executes a single named experiment ("table2", "fig12" ...
-// "combine") and prints it.
+// "dir") and prints it.
 func (s *Session) RunOne(name string, w io.Writer) error {
-	var res interface{ Print(io.Writer) }
-	var err error
-	switch name {
-	case "table2":
-		res, err = s.RunTableII()
-	case "fig12":
-		res, err = s.RunFig12()
-	case "fig13":
-		res, err = s.RunFig13()
-	case "fig14":
-		res, err = s.RunFig14()
-	case "fig15":
-		res, err = s.RunFig15()
-	case "fig16":
-		res, err = s.RunFig16()
-	case "fig17":
-		res, err = s.RunFig17()
-	case "expiry":
-		res, err = s.RunExpiryMiss()
-	case "vis":
-		res, err = s.RunAblationVisibility()
-	case "combine":
-		res, err = s.RunAblationCombining()
-	case "lease":
-		res, err = s.RunAblationLease()
-	case "tso":
-		res, err = s.RunConsistencySpectrum()
-	case "scale":
-		res, err = s.RunScalability()
-	case "micro":
-		res, err = s.RunMicroTable()
-	case "platform":
-		res, err = s.RunPlatform()
-	case "cache":
-		res, err = s.RunCacheSweep()
-	case "dir":
-		res, err = s.RunDirectoryCompare()
-	default:
-		return fmt.Errorf("unknown experiment %q (want table2, fig12..fig17, expiry, vis, combine, lease, tso, scale, micro, platform, cache, dir)", name)
+	var known []string
+	for _, d := range s.drivers() {
+		if d.name != name {
+			known = append(known, d.name)
+			continue
+		}
+		res, err := d.run()
+		if err != nil {
+			return err
+		}
+		res.Print(w)
+		return nil
 	}
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
+	return fmt.Errorf("unknown experiment %q (want one of %s)", name, strings.Join(known, ", "))
 }

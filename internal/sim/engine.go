@@ -69,10 +69,6 @@ type RelaxedStats struct {
 	// beyond barrier-crossing delivery).
 	ExchangedMsgs uint64
 	HeldMsgs      uint64
-	// DomainEpochs[i] counts epochs in which domain i executed at least
-	// one real cycle (domains 0..numSMs-1 are SM domains; the final
-	// entry is the serialized mem-domain chain).
-	DomainEpochs []uint64
 }
 
 // Dispatches is the total number of event dispatches the engine

@@ -135,11 +135,6 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 
 	domains := len(s.SMs) // the shared side runs at the barrier
 	s.eng.Relaxed.SlackCycles = slack
-	if s.eng.Relaxed.DomainEpochs == nil {
-		// +1: the final entry counts barrier exchanges that ticked the
-		// shared mem side at least once.
-		s.eng.Relaxed.DomainEpochs = make([]uint64, domains+1)
-	}
 	pl := s.newPhaseLabels()
 	defer pl.clear()
 
@@ -203,9 +198,6 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 		s.eng.Relaxed.HeldMsgs += uint64(held)
 		rx.memTicks += mticks
 		rx.memSkipped += mskipped
-		if mticks > 0 {
-			s.eng.Relaxed.DomainEpochs[len(s.SMs)]++
-		}
 		if grid {
 			for i, sm := range s.SMs {
 				if sm.PendingFill() {
@@ -269,7 +261,6 @@ func (s *Simulator) relaxedRunSM(i int, from, to uint64) {
 			}
 		}
 	}
-	s.eng.Relaxed.DomainEpochs[i]++
 	st := sm.Stats()
 	for c < to {
 		c++
