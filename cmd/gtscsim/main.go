@@ -141,40 +141,29 @@ func realMain() int {
 	default:
 		fatalf("unknown scheduler %q", *sched)
 	}
-	switch *proto {
-	case "gtsc":
-		cfg.Mem.Protocol = memsys.GTSC
+	p, err := memsys.ParseProtocol(*proto)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	cfg.Mem.Protocol = p
+	switch p {
+	case memsys.GTSC:
 		if *lease != 0 {
 			cfg.Mem.GTSC.Lease = *lease
 		}
-	case "tc":
-		cfg.Mem.Protocol = memsys.TC
+	case memsys.TC:
 		if *lease != 0 {
 			cfg.Mem.TC.Lease = *lease
 		}
-	case "bl":
-		cfg.Mem.Protocol = memsys.BL
-	case "l1nc":
-		cfg.Mem.Protocol = memsys.L1NC
+	case memsys.L1NC:
 		for _, wl := range wls {
 			if wl.NeedsCoherence {
 				fatalf("workload %s requires coherence and is not runnable under l1nc", wl.Name)
 			}
 		}
-	case "dir":
-		cfg.Mem.Protocol = memsys.DIR
-	default:
-		fatalf("unknown protocol %q", *proto)
 	}
-	switch *cons {
-	case "rc":
-		cfg.SM.Consistency = gpu.RC
-	case "sc":
-		cfg.SM.Consistency = gpu.SC
-	case "tso":
-		cfg.SM.Consistency = gpu.TSO
-	default:
-		fatalf("unknown consistency %q", *cons)
+	if cfg.SM.Consistency, err = gpu.ParseConsistency(*cons); err != nil {
+		fatalf("%v", err)
 	}
 
 	cfg.MaxCycles = *maxCycles

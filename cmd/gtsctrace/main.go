@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		proto  = flag.String("protocol", "gtsc", "coherence protocol: gtsc, tc, bl")
+		proto  = flag.String("protocol", "gtsc", "coherence protocol: gtsc, tc, bl, l1nc, dir")
 		wlName = flag.String("workload", "", "trace a benchmark instead of the Fig 9 scenario")
 		limit  = flag.Int("limit", 60, "max events to print in workload mode")
 		typ    = flag.String("type", "", "only trace one message type (BusRd, BusWr, BusFill, BusRnw, BusWrAck, BusAtom, BusAtomAck)")
@@ -39,16 +39,11 @@ func main() {
 
 	cfg := sim.DefaultConfig()
 	cfg.SM.Consistency = gpu.SC
-	switch *proto {
-	case "gtsc":
-		cfg.Mem.Protocol = memsys.GTSC
-	case "tc":
-		cfg.Mem.Protocol = memsys.TC
-	case "bl":
-		cfg.Mem.Protocol = memsys.BL
-	default:
-		fatalf("unknown protocol %q", *proto)
+	p, err := memsys.ParseProtocol(*proto)
+	if err != nil {
+		fatalf("%v", err)
 	}
+	cfg.Mem.Protocol = p
 
 	var opts []trace.Option
 	if *typ != "" {

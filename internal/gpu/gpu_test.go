@@ -538,3 +538,16 @@ func TestLDSTRetriesRejectedAccesses(t *testing.T) {
 		t.Fatal("rejections not consumed")
 	}
 }
+
+func TestParseConsistency(t *testing.T) {
+	for name, want := range map[string]Consistency{"rc": RC, "sc": SC, "tso": TSO} {
+		if got, err := ParseConsistency(name); err != nil || got != want {
+			t.Errorf("ParseConsistency(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "RC", "pso"} {
+		if _, err := ParseConsistency(bad); err == nil {
+			t.Errorf("ParseConsistency(%q) accepted", bad)
+		}
+	}
+}

@@ -41,6 +41,20 @@ func (c Consistency) String() string {
 	}
 }
 
+// ParseConsistency maps a command-line model name ("rc", "sc", "tso")
+// to its Consistency.
+func ParseConsistency(name string) (Consistency, error) {
+	switch name {
+	case "rc":
+		return RC, nil
+	case "sc":
+		return SC, nil
+	case "tso":
+		return TSO, nil
+	}
+	return 0, fmt.Errorf("unknown consistency %q (want rc, sc or tso)", name)
+}
+
 // Scheduler selects the warp scheduling policy.
 type Scheduler uint8
 

@@ -60,6 +60,24 @@ func (p Protocol) String() string {
 	}
 }
 
+// ParseProtocol maps a command-line protocol name ("gtsc", "tc", "bl",
+// "l1nc", "dir") to its Protocol.
+func ParseProtocol(name string) (Protocol, error) {
+	switch name {
+	case "gtsc":
+		return GTSC, nil
+	case "tc":
+		return TC, nil
+	case "bl":
+		return BL, nil
+	case "l1nc":
+		return L1NC, nil
+	case "dir":
+		return DIR, nil
+	}
+	return 0, fmt.Errorf("unknown protocol %q (want gtsc, tc, bl, l1nc or dir)", name)
+}
+
 // Config describes the hierarchy geometry and protocol parameters.
 type Config struct {
 	Protocol Protocol

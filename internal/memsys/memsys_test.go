@@ -112,6 +112,19 @@ func TestProtocolStrings(t *testing.T) {
 	}
 }
 
+func TestParseProtocol(t *testing.T) {
+	for name, want := range map[string]Protocol{"gtsc": GTSC, "tc": TC, "bl": BL, "l1nc": L1NC, "dir": DIR} {
+		if got, err := ParseProtocol(name); err != nil || got != want {
+			t.Errorf("ParseProtocol(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "GTSC", "G-TSC", "mesi"} {
+		if _, err := ParseProtocol(bad); err == nil {
+			t.Errorf("ParseProtocol(%q) accepted", bad)
+		}
+	}
+}
+
 func TestUnknownProtocolPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

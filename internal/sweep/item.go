@@ -124,35 +124,27 @@ func (it Item) SimConfig(attempt int) (sim.Config, error) {
 	if it.MaxCycles > 0 {
 		cfg.MaxCycles = it.MaxCycles
 	}
-	switch it.Protocol {
-	case "gtsc":
-		cfg.Mem.Protocol = memsys.GTSC
+	p, err := memsys.ParseProtocol(it.Protocol)
+	if err != nil {
+		return cfg, fmt.Errorf("sweep: %w", err)
+	}
+	cfg.Mem.Protocol = p
+	switch p {
+	case memsys.GTSC:
 		if it.Lease != 0 {
 			cfg.Mem.GTSC.Lease = it.Lease
 		}
-	case "tc":
-		cfg.Mem.Protocol = memsys.TC
+	case memsys.TC:
 		if it.Lease != 0 {
 			cfg.Mem.TC.Lease = it.Lease
 		}
-	case "bl":
-		cfg.Mem.Protocol = memsys.BL
-	case "l1nc":
-		cfg.Mem.Protocol = memsys.L1NC
-	case "dir":
-		cfg.Mem.Protocol = memsys.DIR
-	default:
-		return cfg, fmt.Errorf("sweep: unknown protocol %q", it.Protocol)
 	}
-	switch it.Consistency {
-	case "rc", "":
-		cfg.SM.Consistency = gpu.RC
-	case "sc":
-		cfg.SM.Consistency = gpu.SC
-	case "tso":
-		cfg.SM.Consistency = gpu.TSO
-	default:
-		return cfg, fmt.Errorf("sweep: unknown consistency %q", it.Consistency)
+	cons := it.Consistency
+	if cons == "" {
+		cons = "rc"
+	}
+	if cfg.SM.Consistency, err = gpu.ParseConsistency(cons); err != nil {
+		return cfg, fmt.Errorf("sweep: %w", err)
 	}
 	if it.FaultSeed != 0 {
 		cfg.Mem.Fault = fault.Chaos(experiments.DeriveFaultSeed(it.FaultSeed, attempt))
