@@ -10,7 +10,9 @@
 #   2. gtscbench: a sweep with a journal is killed by SIGTERM, must
 #      exit 3; rerunning with the same journal must replay the
 #      completed simulations, finish the rest, and print the same
-#      table as an uninterrupted reference sweep.
+#      table as an uninterrupted reference sweep. Two sweeps take this
+#      path: Table II on the session's machine, and the L1 geometry
+#      sweep, whose cells override the machine.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -48,29 +50,38 @@ diff -u "$workdir/sim_reference_stats.out" "$workdir/sim_resumed_stats.out" \
   || fail "resumed run differs from uninterrupted reference"
 echo "   OK: exit 3 on interrupt, verified resume, bit-identical stats"
 
-echo "== gtscbench: SIGTERM mid-sweep, journal resume =="
-bench_flags=(-exp table2 -scale 4 -sms 8 -banks 4 -j 4)
+# bench_leg NAME DELAY FLAGS...: SIGTERM a journaled gtscbench sweep
+# DELAY seconds in, resume it from the journal, and diff the result
+# against an uninterrupted sweep.
+bench_leg() {
+  local name=$1 delay=$2
+  shift 2
+  echo "== gtscbench $name: SIGTERM mid-sweep, journal resume =="
+  local jrnl="$workdir/$name.jrnl" out="$workdir/bench_$name"
 
-set +e
-"$workdir/gtscbench" "${bench_flags[@]}" -journal "$workdir/sweep.jrnl" \
-  >"$workdir/bench_interrupted.out" 2>&1 &
-bench_pid=$!
-sleep 0.8
-kill -TERM "$bench_pid" 2>/dev/null
-wait "$bench_pid"
-rc=$?
-set -e
-[ "$rc" -eq 3 ] || fail "interrupted gtscbench exited $rc, want 3 (output: $(cat "$workdir/bench_interrupted.out"))"
-[ -f "$workdir/sweep.jrnl" ] || fail "no journal written"
+  set +e
+  "$workdir/gtscbench" "$@" -journal "$jrnl" >"$out.interrupted" 2>&1 &
+  local bench_pid=$!
+  sleep "$delay"
+  kill -TERM "$bench_pid" 2>/dev/null
+  wait "$bench_pid"
+  local rc=$?
+  set -e
+  [ "$rc" -eq 3 ] || fail "interrupted gtscbench $name exited $rc, want 3 (output: $(cat "$out.interrupted"))"
+  [ -f "$jrnl" ] || fail "$name: no journal written"
 
-"$workdir/gtscbench" "${bench_flags[@]}" -journal "$workdir/sweep.jrnl" \
-  >"$workdir/bench_resumed.out" 2>&1 || fail "journal resume failed: $(cat "$workdir/bench_resumed.out")"
-grep -q "^journal: replayed " "$workdir/bench_resumed.out" || fail "resume did not replay journaled runs"
+  "$workdir/gtscbench" "$@" -journal "$jrnl" >"$out.resumed" 2>&1 \
+    || fail "$name: journal resume failed: $(cat "$out.resumed")"
+  grep -q "^journal: replayed " "$out.resumed" || fail "$name: resume did not replay journaled runs"
 
-"$workdir/gtscbench" "${bench_flags[@]}" >"$workdir/bench_reference.out" 2>&1
-grep -v "^journal: " "$workdir/bench_resumed.out" >"$workdir/bench_resumed_table.out"
-diff -u "$workdir/bench_reference.out" "$workdir/bench_resumed_table.out" \
-  || fail "resumed sweep differs from uninterrupted reference"
-echo "   OK: exit 3 on SIGTERM, journal replayed, bit-identical table"
+  "$workdir/gtscbench" "$@" >"$out.reference" 2>&1
+  grep -v "^journal: " "$out.resumed" >"$out.resumed_table"
+  diff -u "$out.reference" "$out.resumed_table" \
+    || fail "$name: resumed sweep differs from uninterrupted reference"
+  echo "   OK: exit 3 on SIGTERM, journal replayed, bit-identical table"
+}
+
+bench_leg table2 0.8 -exp table2 -scale 4 -sms 8 -banks 4 -j 4
+bench_leg cache 1.5 -exp cache -scale 4 -sms 4 -banks 2 -j 2
 
 echo "kill_resume_smoke: PASS"
