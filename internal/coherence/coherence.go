@@ -143,9 +143,10 @@ type L2 interface {
 	TimedWake(now uint64) (at uint64, ok bool)
 	// Pending reports in-flight work (stalled writes, DRAM waits).
 	Pending() int
-	// Peek returns the bank's current copy of a block, if cached —
-	// a zero-cost debug/verification hook, not a protocol action.
-	Peek(b mem.BlockAddr) (*mem.Block, bool)
+	// Peek returns a copy of the bank's current contents of a block,
+	// if cached — a non-allocating debug/verification hook, not a
+	// protocol action.
+	Peek(b mem.BlockAddr) (mem.Block, bool)
 	// Err reports the first protocol violation the bank hit, as a
 	// *diag.ProtocolError, or nil.
 	Err() error

@@ -67,7 +67,7 @@ type L1 struct {
 
 	send  coherence.Sender
 	outQ  mem.MsgQueue // messages awaiting NoC injection (backpressure)
-	pool  mem.Pool     // recycles request msgs and data blocks
+	pool  *mem.Pool    // recycles msgs and blocks (see SetPool)
 	stats stats.L1Stats
 	obs   coherence.Observer
 
@@ -126,6 +126,7 @@ func NewL1(cfg Config, smID, nBanks int, geo L1Geometry, send coherence.Sender, 
 		storesByID:    make(map[uint64]*pendingStore),
 		storesByBlock: make(map[mem.BlockAddr][]*pendingStore),
 		atomicsByID:   make(map[uint64]*coherence.Request),
+		pool:          &mem.Pool{},
 	}
 	for i := range l.warpTS {
 		l.warpTS[i] = cfg.startTS()
@@ -135,6 +136,11 @@ func NewL1(cfg Config, smID, nBanks int, geo L1Geometry, send coherence.Sender, 
 
 // Stats implements coherence.L1.
 func (l *L1) Stats() *stats.L1Stats { return &l.stats }
+
+// SetPool makes the controller draw and free its messages through pool,
+// normally the one its machine shares among all components (see
+// mem.Pool). Call it before the first access.
+func (l *L1) SetPool(pool *mem.Pool) { l.pool = pool }
 
 // Pending implements coherence.L1.
 func (l *L1) Pending() int { return l.pending }
@@ -206,8 +212,7 @@ func (l *L1) accessAtomic(req *coherence.Request) coherence.AccessResult {
 	l.pending++
 	data := l.pool.Block()
 	mem.Merge(data, req.Data, req.Mask)
-	msg := l.pool.Msg()
-	*msg = mem.Msg{
+	l.post(l.pool.Msg(mem.Msg{
 		Type:   mem.BusAtom,
 		Block:  req.Block,
 		Src:    l.smID,
@@ -219,8 +224,7 @@ func (l *L1) accessAtomic(req *coherence.Request) coherence.AccessResult {
 		ReqID:  l.nextReqID,
 		Warp:   req.Warp,
 		Epoch:  l.cfg.wireEpoch(l.epoch),
-	}
-	l.post(msg)
+	}))
 	return coherence.Pending
 }
 
@@ -327,8 +331,7 @@ func (l *L1) sendBusRd(b mem.BlockAddr, line *cache.Line[l1Meta], warpTS uint64)
 		l.stats.Renewals++
 	}
 	l.nextReqID++
-	msg := l.pool.Msg()
-	*msg = mem.Msg{
+	l.post(l.pool.Msg(mem.Msg{
 		Type:   mem.BusRd,
 		Block:  b,
 		Src:    l.smID,
@@ -337,8 +340,7 @@ func (l *L1) sendBusRd(b mem.BlockAddr, line *cache.Line[l1Meta], warpTS uint64)
 		WarpTS: warpTS,
 		ReqID:  l.nextReqID,
 		Epoch:  l.cfg.wireEpoch(l.epoch),
-	}
-	l.post(msg)
+	}))
 }
 
 func (l *L1) accessStore(req *coherence.Request) coherence.AccessResult {
@@ -380,8 +382,7 @@ func (l *L1) accessStore(req *coherence.Request) coherence.AccessResult {
 
 	data := l.pool.Block()
 	mem.Merge(data, req.Data, req.Mask)
-	msg := l.pool.Msg()
-	*msg = mem.Msg{
+	l.post(l.pool.Msg(mem.Msg{
 		Type:   mem.BusWr,
 		Block:  req.Block,
 		Src:    l.smID,
@@ -393,8 +394,7 @@ func (l *L1) accessStore(req *coherence.Request) coherence.AccessResult {
 		ReqID:  ps.reqID,
 		Warp:   req.Warp,
 		Epoch:  l.cfg.wireEpoch(l.epoch),
-	}
-	l.post(msg)
+	}))
 	return coherence.Pending
 }
 

@@ -52,10 +52,10 @@ type L2 struct {
 	outDRAM  mem.MsgQueue
 
 	// pool recycles the bank's response msgs and blocks plus the
-	// request msgs it consumes; it is shared with the bank's DRAM
-	// partition (both tick in the hierarchy phase) so the DRAM
-	// read/fill loop recycles too.
+	// request msgs it consumes (see SetPool).
 	pool *mem.Pool
+	// spareMiss recycles miss entries, waiter slices included.
+	spareMiss []*l2Miss
 
 	stats stats.L2Stats
 	obs   coherence.Observer
@@ -99,10 +99,10 @@ func NewL2(cfg Config, bankID int, geo L2Geometry, sendNoC, sendDRAM coherence.S
 	}
 }
 
-// Pool exposes the bank's message pool so the paired DRAM partition
-// can draw its fills from (and free its consumed requests into) the
-// same free lists, closing the DRAM read/write loops.
-func (l *L2) Pool() *mem.Pool { return l.pool }
+// SetPool makes the bank draw and free its messages through pool,
+// normally the one its machine shares among all components, the DRAM
+// partitions included (see mem.Pool). Call it before the first request.
+func (l *L2) SetPool(pool *mem.Pool) { l.pool = pool }
 
 // AttachResets wires the bank into the chip-wide overflow reset
 // controller (§V-D). Optional; without it timestamps are assumed wide
@@ -214,6 +214,7 @@ func (l *L2) DRAMFill(msg *mem.Msg) {
 		l.pool.PutBlock(waiting.Data)
 		l.pool.PutMsg(waiting)
 	}
+	l.freeMiss(m)
 	// installFill copied the payload into the array; the fill message
 	// returns to the pool it was drawn from (the partition shares ours).
 	l.pool.PutBlock(msg.Data)
@@ -246,12 +247,10 @@ func (l *L2) evict(victim *cache.Line[l2Meta]) {
 		l.stats.WritebackDRAM++
 		data := l.pool.Block()
 		*data = victim.Data
-		msg := l.pool.Msg()
-		*msg = mem.Msg{
+		l.postDRAM(l.pool.Msg(mem.Msg{
 			Type: mem.DRAMWr, Block: victim.Addr, Src: l.bankID, Dst: l.bankID,
 			Data: data, Mask: mem.MaskAll,
-		}
-		l.postDRAM(msg)
+		}))
 	}
 	l.array.Invalidate(victim)
 }
@@ -316,14 +315,12 @@ func (l *L2) processAtomic(msg *mem.Msg, line *cache.Line[l2Meta]) {
 		})
 	}
 
-	ack := l.pool.Msg()
-	*ack = mem.Msg{
+	l.postNoC(l.pool.Msg(mem.Msg{
 		Type: mem.BusAtomAck, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
 		WTS: wts, RTS: rts, Data: old, Mask: msg.Mask,
 		ReqID: msg.ReqID, Warp: msg.Warp, Epoch: l.cfg.wireEpoch(l.epoch),
 		Reset: l.staleReq(msg),
-	}
-	l.postNoC(ack)
+	}))
 }
 
 // reqWarpTS interprets the request's warp timestamp, discarding
@@ -380,25 +377,21 @@ func (l *L2) processRead(msg *mem.Msg, line *cache.Line[l2Meta]) {
 	if !stale && msg.WTS == line.Meta.wts {
 		// Same version at the requester: renew the lease without data.
 		l.stats.RenewalsSent++
-		rnw := l.pool.Msg()
-		*rnw = mem.Msg{
+		l.postNoC(l.pool.Msg(mem.Msg{
 			Type: mem.BusRnw, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
 			RTS: newRTS, ReqID: msg.ReqID, Epoch: l.cfg.wireEpoch(l.epoch),
-		}
-		l.postNoC(rnw)
+		}))
 		return
 	}
 	l.stats.FillsSent++
 	l.stats.DataAccesses++
 	data := l.pool.Block()
 	*data = line.Data
-	fill := l.pool.Msg()
-	*fill = mem.Msg{
+	l.postNoC(l.pool.Msg(mem.Msg{
 		Type: mem.BusFill, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
 		WTS: line.Meta.wts, RTS: newRTS, Data: data, ReqID: msg.ReqID,
 		Epoch: l.cfg.wireEpoch(l.epoch), Reset: stale,
-	}
-	l.postNoC(fill)
+	}))
 }
 
 // processWrite implements Fig 5: the store is logically scheduled
@@ -437,12 +430,11 @@ func (l *L2) processWrite(msg *mem.Msg, line *cache.Line[l2Meta]) {
 		})
 	}
 
-	ack := l.pool.Msg()
-	*ack = mem.Msg{
+	ack := l.pool.Msg(mem.Msg{
 		Type: mem.BusWrAck, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
 		WTS: wts, RTS: rts, ReqID: msg.ReqID, Warp: msg.Warp, Epoch: l.cfg.wireEpoch(l.epoch),
 		Reset: l.staleReq(msg),
-	}
+	})
 	if msg.WTS != mem.NoWTS && (msg.WTS != prevWTS || l.staleReq(msg)) {
 		// The writer's cached base version was stale: return the
 		// authoritative merged block so its L1 copy is coherent.
@@ -548,11 +540,10 @@ func (l *L2) service(msg *mem.Msg) {
 	line := l.array.Lookup(msg.Block)
 	if line == nil {
 		l.stats.Misses++
-		m := &l2Miss{block: msg.Block, waiting: []*mem.Msg{msg}}
+		m := l.newMiss(msg.Block)
+		m.waiting = append(m.waiting, msg)
 		l.miss[msg.Block] = m
-		rd := l.pool.Msg()
-		*rd = mem.Msg{Type: mem.DRAMRd, Block: msg.Block, Src: l.bankID, Dst: l.bankID}
-		l.postDRAM(rd)
+		l.postDRAM(l.pool.Msg(mem.Msg{Type: mem.DRAMRd, Block: msg.Block, Src: l.bankID, Dst: l.bankID}))
 		return
 	}
 	l.stats.Hits++
@@ -560,6 +551,25 @@ func (l *L2) service(msg *mem.Msg) {
 	// The request was served synchronously; recycle it and its payload.
 	l.pool.PutBlock(msg.Data)
 	l.pool.PutMsg(msg)
+}
+
+// newMiss returns an empty miss entry for b, reusing a freed one.
+func (l *L2) newMiss(b mem.BlockAddr) *l2Miss {
+	if n := len(l.spareMiss); n > 0 {
+		m := l.spareMiss[n-1]
+		l.spareMiss = l.spareMiss[:n-1]
+		m.block = b
+		return m
+	}
+	return &l2Miss{block: b}
+}
+
+// freeMiss recycles a resolved miss entry; its waiters must already be
+// consumed.
+func (l *L2) freeMiss(m *l2Miss) {
+	clear(m.waiting)
+	m.waiting = m.waiting[:0]
+	l.spareMiss = append(l.spareMiss, m)
 }
 
 func (l *L2) postNoC(msg *mem.Msg) {
@@ -635,13 +645,12 @@ func (rc *ResetController) trigger(origin *L2) {
 func (rc *ResetController) ForceReset() { rc.trigger(nil) }
 
 // Peek implements coherence.L2 (verification hook).
-func (l *L2) Peek(b mem.BlockAddr) (*mem.Block, bool) {
+func (l *L2) Peek(b mem.BlockAddr) (mem.Block, bool) {
 	line := l.array.Lookup(b)
 	if line == nil {
-		return nil, false
+		return mem.Block{}, false
 	}
-	data := line.Data
-	return &data, true
+	return line.Data, true
 }
 
 // DebugString renders the bank's transient state for deadlock

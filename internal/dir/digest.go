@@ -13,7 +13,7 @@ func (l *L1) DigestState(w io.Writer) {
 	fmt.Fprintf(w, "dir-l1[%d] now=%d next=%d pend=%d\n", l.smID, l.now, l.nextReqID, l.pending)
 	l.array.DigestInto(w)
 	l.mshr.DigestInto(w)
-	mem.DigestMsgs(w, "outq", l.outQ)
+	mem.DigestMsgs(w, "outq", l.outQ.Items())
 	// Outstanding GetMs: the queued stores are callback carriers, so
 	// digest the block and the waiting-store count.
 	mem.DigestBlockMap(w, l.getm, func(w io.Writer, b mem.BlockAddr, p *pendingM) {
@@ -55,7 +55,7 @@ func (l *L2) DigestState(w io.Writer) {
 		}
 		mem.DigestMsgs(w, "wait", bs.waiting)
 	})
-	mem.DigestMsgs(w, "inq", l.inQ)
-	mem.DigestMsgs(w, "outnoc", l.outNoC)
-	mem.DigestMsgs(w, "outdram", l.outDRAM)
+	mem.DigestMsgs(w, "inq", l.inQ.Items())
+	mem.DigestMsgs(w, "outnoc", l.outNoC.Items())
+	mem.DigestMsgs(w, "outdram", l.outDRAM.Items())
 }

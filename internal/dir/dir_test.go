@@ -51,13 +51,13 @@ func (h *harness) pump() {
 		for len(h.toL2) > 0 {
 			m := h.toL2[0]
 			h.toL2 = h.toL2[1:]
-			h.l2.Deliver(m)
+			h.l2.Deliver(copyMsg(m))
 			progress = true
 		}
 		for len(h.toL1) > 0 {
 			m := h.toL1[0]
 			h.toL1 = h.toL1[1:]
-			h.l1s[m.Dst].Deliver(m)
+			h.l1s[m.Dst].Deliver(copyMsg(m))
 			progress = true
 		}
 		for len(h.dram) > 0 {
@@ -94,11 +94,34 @@ type captured struct {
 	c    coherence.Completion
 }
 
+// capture records a completion. Completion.Data is only valid during
+// the Done callback (the controller recycles the block), so it is
+// deep-copied.
+func (out *captured) capture(c coherence.Completion) {
+	out.done = true
+	out.c = c
+	if c.Data != nil {
+		d := *c.Data
+		out.c.Data = &d
+	}
+}
+
+// copyMsg deep-copies m. Receivers recycle the messages they consume,
+// so the harness delivers copies and its log keeps the originals.
+func copyMsg(m *mem.Msg) *mem.Msg {
+	c := *m
+	if m.Data != nil {
+		d := *m.Data
+		c.Data = &d
+	}
+	return &c
+}
+
 func (h *harness) load(sm, warp int, b mem.BlockAddr, word int) *captured {
 	out := &captured{}
 	out.res = h.l1s[sm].Access(&coherence.Request{
 		Block: b, Mask: mem.WordMask(0).Set(word), Warp: warp,
-		Done: func(c coherence.Completion) { out.done = true; out.c = c },
+		Done: out.capture,
 	})
 	return out
 }
@@ -109,7 +132,7 @@ func (h *harness) storeWord(sm, warp int, b mem.BlockAddr, word int, val uint32)
 	data.Words[word] = val
 	out.res = h.l1s[sm].Access(&coherence.Request{
 		Block: b, Store: true, Mask: mem.WordMask(0).Set(word), Data: data, Warp: warp,
-		Done: func(c coherence.Completion) { out.done = true; out.c = c },
+		Done: out.capture,
 	})
 	return out
 }
@@ -334,7 +357,7 @@ func TestAtomicRecallsAllCopies(t *testing.T) {
 	data.Words[0] = 5
 	h.l1s[2].Access(&coherence.Request{
 		Block: X, Atomic: true, Atom: mem.AtomAdd, Mask: 1, Data: data, Warp: 0,
-		Done: func(c coherence.Completion) { out.done = true; out.c = c },
+		Done: out.capture,
 	})
 	h.pump()
 	if !out.done || out.c.Data.Words[0] != 100 {

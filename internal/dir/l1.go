@@ -34,11 +34,6 @@ type pendingM struct {
 	stores []*coherence.Request
 }
 
-// pendingAtomic tracks one atomic forwarded to the L2.
-type pendingAtomic struct {
-	req *coherence.Request
-}
-
 // L1 is the directory protocol's private cache: write-back,
 // write-allocate, invalidated on demand by the directory. It
 // implements coherence.L1.
@@ -52,7 +47,8 @@ type L1 struct {
 	mshr  *cache.MSHR[waiter]
 
 	send  coherence.Sender
-	outQ  []*mem.Msg
+	outQ  mem.MsgQueue
+	pool  *mem.Pool // recycles msgs and blocks (see SetPool)
 	stats stats.L1Stats
 	obs   coherence.Observer
 
@@ -64,7 +60,7 @@ type L1 struct {
 	// directory waits for the writeback's data.
 	wbInFlight map[mem.BlockAddr]bool
 
-	atomics   map[uint64]*pendingAtomic
+	atomics   map[uint64]*coherence.Request
 	nextReqID uint64
 	pending   int
 	fail      *diag.ProtocolError
@@ -97,9 +93,15 @@ func NewL1(cfg Config, smID, nBanks int, geo Geometry, send coherence.Sender, ob
 		obs:        obs,
 		getm:       make(map[mem.BlockAddr]*pendingM),
 		wbInFlight: make(map[mem.BlockAddr]bool),
-		atomics:    make(map[uint64]*pendingAtomic),
+		atomics:    make(map[uint64]*coherence.Request),
+		pool:       &mem.Pool{},
 	}
 }
+
+// SetPool makes the controller draw and free its messages through pool,
+// normally the one its machine shares among all components (see
+// mem.Pool). Call it before the first access.
+func (l *L1) SetPool(pool *mem.Pool) { l.pool = pool }
 
 // Stats implements coherence.L1.
 func (l *L1) Stats() *stats.L1Stats { return &l.stats }
@@ -109,7 +111,7 @@ func (l *L1) Pending() int { return l.pending }
 
 // Quiescent implements coherence.L1: Tick only drains outQ, so an
 // empty output queue means ticking is a pure no-op until new input.
-func (l *L1) Quiescent() bool { return len(l.outQ) == 0 }
+func (l *L1) Quiescent() bool { return l.outQ.Empty() }
 
 // failf records the first protocol violation; the controller then
 // drops further input until the simulator surfaces the error.
@@ -131,7 +133,7 @@ func (l *L1) Err() error {
 func (l *L1) DumpState() diag.CacheState {
 	return diag.CacheState{
 		Name: "dir-l1", ID: l.smID, Pending: l.pending,
-		MSHRUsed: l.mshr.Len(), MSHRCap: l.mshr.Cap(), OutQ: len(l.outQ),
+		MSHRUsed: l.mshr.Len(), MSHRCap: l.mshr.Cap(), OutQ: l.outQ.Len(),
 		Blocked: len(l.getm),
 	}
 }
@@ -190,10 +192,10 @@ func (l *L1) accessLoad(req *coherence.Request) coherence.AccessResult {
 		// No request in flight yet: send GetS.
 		e.Issued = true
 		l.nextReqID++
-		l.post(&mem.Msg{
+		l.post(l.pool.Msg(mem.Msg{
 			Type: mem.BusRd, Block: req.Block, Src: l.smID,
 			Dst: bankOf(uint64(req.Block), l.nBanks), ReqID: l.nextReqID,
-		})
+		}))
 	}
 	return coherence.Pending
 }
@@ -220,10 +222,10 @@ func (l *L1) accessStore(req *coherence.Request) coherence.AccessResult {
 		pm = &pendingM{block: req.Block}
 		l.getm[req.Block] = pm
 		l.nextReqID++
-		l.post(&mem.Msg{
+		l.post(l.pool.Msg(mem.Msg{
 			Type: mem.BusGetM, Block: req.Block, Src: l.smID,
 			Dst: bankOf(uint64(req.Block), l.nBanks), ReqID: l.nextReqID,
-		})
+		}))
 	}
 	pm.stores = append(pm.stores, req)
 	l.pending++
@@ -233,20 +235,23 @@ func (l *L1) accessStore(req *coherence.Request) coherence.AccessResult {
 func (l *L1) accessAtomic(req *coherence.Request) coherence.AccessResult {
 	l.stats.Atomics++
 	l.nextReqID++
-	l.atomics[l.nextReqID] = &pendingAtomic{req: req}
+	l.atomics[l.nextReqID] = req
 	l.pending++
-	data := &mem.Block{}
+	data := l.pool.Block()
 	mem.Merge(data, req.Data, req.Mask)
-	l.post(&mem.Msg{
+	l.post(l.pool.Msg(mem.Msg{
 		Type: mem.BusAtom, Block: req.Block, Src: l.smID,
 		Dst: bankOf(uint64(req.Block), l.nBanks), Data: data, Mask: req.Mask,
 		Atom: req.Atom, ReqID: l.nextReqID, Warp: req.Warp,
-	})
+	}))
 	return coherence.Pending
 }
 
+// completeLoad fires a load's Done with the masked words of data. The
+// scratch block recycles as soon as Done returns (see
+// coherence.Completion).
 func (l *L1) completeLoad(req *coherence.Request, data *mem.Block) {
-	out := &mem.Block{}
+	out := l.pool.Block()
 	mem.Merge(out, data, req.Mask)
 	if l.obs != nil {
 		l.obs.Observe(coherence.Op{
@@ -256,6 +261,7 @@ func (l *L1) completeLoad(req *coherence.Request, data *mem.Block) {
 	}
 	l.pending--
 	req.Done(coherence.Completion{Data: out})
+	l.pool.PutBlock(out)
 }
 
 func (l *L1) observeStore(req *coherence.Request) {
@@ -281,17 +287,21 @@ func (l *L1) Deliver(msg *mem.Msg) {
 	case mem.BusInv:
 		l.onInv(msg)
 	case mem.BusAtomAck:
-		pa, ok := l.atomics[msg.ReqID]
+		req, ok := l.atomics[msg.ReqID]
 		if !ok {
 			l.failf("unknown-atomic-ack", "atomic ack req=%d block=%v has no pending request", msg.ReqID, msg.Block)
 			return
 		}
 		delete(l.atomics, msg.ReqID)
 		l.pending--
-		pa.req.Done(coherence.Completion{Data: msg.Data})
+		req.Done(coherence.Completion{Data: msg.Data})
 	default:
 		l.failf("unexpected-message", "message %v for block %v from bank %d", msg.Type, msg.Block, msg.Src)
 	}
+	// The message is fully consumed: grants copy their payload into the
+	// array and acks complete their Done callbacks before returning.
+	l.pool.PutBlock(msg.Data)
+	l.pool.PutMsg(msg)
 }
 
 // onGrant installs granted data. GetS grants carry S or E; GetM grants
@@ -358,13 +368,13 @@ func (l *L1) onGrant(msg *mem.Msg) {
 func (l *L1) onInv(msg *mem.Msg) {
 	l.stats.InvsReceived++
 	line := l.array.Lookup(msg.Block)
-	ack := &mem.Msg{
+	ack := l.pool.Msg(mem.Msg{
 		Type: mem.BusInvAck, Block: msg.Block, Src: l.smID,
 		Dst: bankOf(uint64(msg.Block), l.nBanks), ReqID: msg.ReqID,
-	}
+	})
 	if line != nil {
 		if line.Dirty {
-			data := &mem.Block{}
+			data := l.pool.Block()
 			*data = line.Data
 			ack.Data = data
 			ack.Mask = mem.MaskAll
@@ -415,12 +425,12 @@ func (l *L1) evict(victim *cache.Line[l1Meta]) {
 	if victim.Dirty {
 		l.stats.Writebacks++
 		l.wbInFlight[victim.Addr] = true
-		data := &mem.Block{}
+		data := l.pool.Block()
 		*data = victim.Data
-		l.post(&mem.Msg{
+		l.post(l.pool.Msg(mem.Msg{
 			Type: mem.BusWB, Block: victim.Addr, Src: l.smID,
 			Dst: bankOf(uint64(victim.Addr), l.nBanks), Data: data, Mask: mem.MaskAll,
-		})
+		}))
 	}
 	l.array.Invalidate(victim)
 }
@@ -439,10 +449,10 @@ func (l *L1) Flush() {
 }
 
 func (l *L1) post(msg *mem.Msg) {
-	if len(l.outQ) == 0 && l.send.TrySend(msg) {
+	if l.outQ.Empty() && l.send.TrySend(msg) {
 		return
 	}
-	l.outQ = append(l.outQ, msg)
+	l.outQ.Push(msg)
 }
 
 // SyncClock implements coherence.L1.
@@ -451,10 +461,7 @@ func (l *L1) SyncClock(now uint64) { l.now = now }
 // Tick implements coherence.L1.
 func (l *L1) Tick(now uint64) {
 	l.now = now
-	for len(l.outQ) > 0 {
-		if !l.send.TrySend(l.outQ[0]) {
-			return
-		}
-		l.outQ = l.outQ[1:]
+	for !l.outQ.Empty() && l.send.TrySend(l.outQ.Head()) {
+		l.outQ.Pop()
 	}
 }

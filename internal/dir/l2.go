@@ -66,13 +66,18 @@ type L2 struct {
 	miss  map[mem.BlockAddr]*l2Miss
 	busy  map[mem.BlockAddr]*busyState
 
-	inQ      []*mem.Msg
+	inQ      mem.MsgQueue
 	perCycle int
 
 	sendNoC  coherence.Sender
 	sendDRAM coherence.Sender
-	outNoC   []*mem.Msg
-	outDRAM  []*mem.Msg
+	outNoC   mem.MsgQueue
+	outDRAM  mem.MsgQueue
+
+	// pool recycles the bank's msgs and blocks (see SetPool);
+	// spareMiss recycles resolved miss entries, waiter slices included.
+	pool      *mem.Pool
+	spareMiss []*l2Miss
 
 	stats stats.L2Stats
 	obs   coherence.Observer
@@ -108,8 +113,14 @@ func NewL2(cfg Config, bankID int, geo L2Geometry, sendNoC, sendDRAM coherence.S
 		sendNoC:  sendNoC,
 		sendDRAM: sendDRAM,
 		obs:      obs,
+		pool:     &mem.Pool{},
 	}
 }
+
+// SetPool makes the bank draw and free its messages through pool,
+// normally the one its machine shares among all components, the DRAM
+// partitions included (see mem.Pool). Call it before the first request.
+func (l *L2) SetPool(pool *mem.Pool) { l.pool = pool }
 
 // Stats implements coherence.L2.
 func (l *L2) Stats() *stats.L2Stats { return &l.stats }
@@ -125,7 +136,7 @@ func (l *L2) ForEachLineState(fn func(b mem.BlockAddr, state string)) {
 
 // Pending implements coherence.L2.
 func (l *L2) Pending() int {
-	n := len(l.inQ) + len(l.outNoC) + len(l.outDRAM)
+	n := l.inQ.Len() + l.outNoC.Len() + l.outDRAM.Len()
 	for _, m := range l.miss {
 		n += len(m.waiting) + 1
 	}
@@ -141,13 +152,13 @@ func (l *L2) Pending() int {
 // advance only when a message arrives, which the skip engine models
 // as scheduled NoC/DRAM events.
 func (l *L2) Quiescent() bool {
-	return len(l.inQ) == 0 && len(l.outNoC) == 0 && len(l.outDRAM) == 0 &&
+	return l.inQ.Empty() && l.outNoC.Empty() && l.outDRAM.Empty() &&
 		l.stalledFills == 0
 }
 
 // Drained implements coherence.L2: O(1) Pending() == 0.
 func (l *L2) Drained() bool {
-	return len(l.inQ) == 0 && len(l.outNoC) == 0 && len(l.outDRAM) == 0 &&
+	return l.inQ.Empty() && l.outNoC.Empty() && l.outDRAM.Empty() &&
 		len(l.miss) == 0 && len(l.busy) == 0
 }
 
@@ -175,8 +186,8 @@ func (l *L2) DumpState() diag.CacheState {
 	}
 	return diag.CacheState{
 		Name: "dir-l2", ID: l.bankID, Pending: l.Pending(),
-		MSHRUsed: len(l.miss), InQ: len(l.inQ),
-		OutQ:   len(l.outNoC) + len(l.outDRAM),
+		MSHRUsed: len(l.miss), InQ: l.inQ.Len(),
+		OutQ:   l.outNoC.Len() + l.outDRAM.Len(),
 		Misses: len(l.miss), Blocked: blocked,
 	}
 }
@@ -184,13 +195,12 @@ func (l *L2) DumpState() diag.CacheState {
 // Peek implements coherence.L2 (verification hook). Note the
 // architecturally current data may live in an owner's L1 until the
 // kernel-boundary flush writes it back.
-func (l *L2) Peek(b mem.BlockAddr) (*mem.Block, bool) {
+func (l *L2) Peek(b mem.BlockAddr) (mem.Block, bool) {
 	line := l.array.Lookup(b)
 	if line == nil {
-		return nil, false
+		return mem.Block{}, false
 	}
-	data := line.Data
-	return &data, true
+	return line.Data, true
 }
 
 // Deliver implements coherence.L2.
@@ -198,7 +208,7 @@ func (l *L2) Deliver(msg *mem.Msg) {
 	if l.fail != nil {
 		return
 	}
-	l.inQ = append(l.inQ, msg)
+	l.inQ.Push(msg)
 }
 
 // DRAMFill implements coherence.L2.
@@ -211,7 +221,11 @@ func (l *L2) DRAMFill(msg *mem.Msg) {
 		l.failf("orphan-dram-fill", "DRAM fill for %v without outstanding miss", msg.Block)
 		return
 	}
+	// The miss keeps the payload until the install succeeds; the fill
+	// message itself is consumed here.
 	m.data = msg.Data
+	msg.Data = nil
+	l.pool.PutMsg(msg)
 	l.stalledFills++
 	l.tryInstall(m)
 }
@@ -232,12 +246,14 @@ func (l *L2) tryInstall(m *l2Miss) {
 		l.evictClean(victim)
 	}
 	l.array.Install(victim, m.block, m.data, l.now)
+	l.pool.PutBlock(m.data)
+	m.data = nil
 	victim.Meta.clearOwner()
 	l.stats.DataAccesses++
 	delete(l.miss, m.block)
 	l.stalledFills--
-	waiting := m.waiting
-	l.runQueue(m.block, waiting)
+	l.runQueue(m.block, m.waiting)
+	l.freeMiss(m)
 }
 
 // startRecall begins invalidating the LRU victim's L1 copies so a
@@ -262,20 +278,21 @@ func (l *L2) evictClean(victim *cache.Line[dirMeta]) {
 	l.stats.Evictions++
 	if victim.Dirty {
 		l.stats.WritebackDRAM++
-		data := &mem.Block{}
+		data := l.pool.Block()
 		*data = victim.Data
-		l.postDRAM(&mem.Msg{
+		l.postDRAM(l.pool.Msg(mem.Msg{
 			Type: mem.DRAMWr, Block: victim.Addr, Src: l.bankID, Dst: l.bankID,
 			Data: data, Mask: mem.MaskAll,
-		})
+		}))
 	}
 	l.array.Invalidate(victim)
 }
 
 // beginBusy sends invalidations (or a downgrade, for GetS-vs-owner) to
 // every live copy except exclude, and parks grant until all targets
-// acknowledge.
-func (l *L2) beginBusy(block mem.BlockAddr, meta *dirMeta, exclude int, grant *mem.Msg) {
+// acknowledge. It reports whether the transaction started; the bank
+// owns a parked grant until maybeFinishBusy serves it.
+func (l *L2) beginBusy(block mem.BlockAddr, meta *dirMeta, exclude int, grant *mem.Msg) bool {
 	b := &busyState{block: block, targets: map[int]*target{}, grant: grant}
 	downgrade := grant != nil && grant.Type == mem.BusRd
 	subtype := uint64(invInvalidate)
@@ -292,15 +309,14 @@ func (l *L2) beginBusy(block mem.BlockAddr, meta *dirMeta, exclude int, grant *m
 		}
 		b.targets[sm] = &target{}
 		l.stats.Invalidations++
-		l.postNoC(&mem.Msg{
-			Type: mem.BusInv, Block: block, Src: l.bankID, Dst: sm, WTS: subtype,
-		})
+		l.postNoC(l.pool.Msg(mem.Msg{Type: mem.BusInv, Block: block, Src: l.bankID, Dst: sm, WTS: subtype}))
 	}
 	if len(b.targets) == 0 {
 		l.failf("busy-no-targets", "transaction on %v has no invalidation targets (sharers=%#x owner=%d)", block, meta.sharers, meta.owner)
-		return
+		return false
 	}
 	l.busy[block] = b
+	return true
 }
 
 // onInvAck processes one acknowledgment.
@@ -381,7 +397,7 @@ func (l *L2) maybeFinishBusy(b *busyState) {
 	}
 
 	if b.grant != nil {
-		l.serve(b.grant, line)
+		l.consume(b.grant, line)
 	}
 	l.runQueue(b.block, b.waiting)
 }
@@ -397,7 +413,7 @@ func (l *L2) runQueue(block mem.BlockAddr, msgs []*mem.Msg) {
 			l.route(msg)
 			continue
 		}
-		l.serve(msg, line)
+		l.consume(msg, line)
 		if nb := l.busy[block]; nb != nil {
 			nb.waiting = append(nb.waiting, msgs[i+1:]...)
 			return
@@ -405,25 +421,40 @@ func (l *L2) runQueue(block mem.BlockAddr, msgs []*mem.Msg) {
 	}
 }
 
-// serve handles one request against a present, non-busy line.
-func (l *L2) serve(msg *mem.Msg, line *cache.Line[dirMeta]) {
+// consume serves one request against a present, non-busy line and
+// frees it, unless serve parked it as a new transaction's grant.
+func (l *L2) consume(msg *mem.Msg, line *cache.Line[dirMeta]) {
+	if !l.serve(msg, line) {
+		l.free(msg)
+	}
+}
+
+// free recycles a consumed message and its payload.
+func (l *L2) free(msg *mem.Msg) {
+	l.pool.PutBlock(msg.Data)
+	l.pool.PutMsg(msg)
+}
+
+// serve handles one request against a present, non-busy line. It
+// reports whether it parked the request as the grant of a new
+// transaction; otherwise the request is done with.
+func (l *L2) serve(msg *mem.Msg, line *cache.Line[dirMeta]) (parked bool) {
 	meta := &line.Meta
 	switch msg.Type {
 	case mem.BusRd: // GetS
 		if meta.owner >= 0 && meta.owner != msg.Src {
-			l.beginBusy(msg.Block, meta, msg.Src, msg)
-			return
+			return l.beginBusy(msg.Block, meta, msg.Src, msg)
 		}
 		if meta.owner == msg.Src {
 			// Re-request from the owner itself (lost its copy after a
 			// silent E eviction): keep exclusivity.
 			l.grant(msg, line, grantE)
-			return
+			return false
 		}
 		if meta.sharers == 0 {
 			meta.owner = msg.Src
 			l.grant(msg, line, grantE)
-			return
+			return false
 		}
 		meta.sharers |= 1 << uint(msg.Src)
 		l.grant(msg, line, grantS)
@@ -433,15 +464,14 @@ func (l *L2) serve(msg *mem.Msg, line *cache.Line[dirMeta]) {
 			meta.sharers = 0
 			meta.owner = msg.Src
 			l.grant(msg, line, grantM)
-			return
+			return false
 		}
-		l.beginBusy(msg.Block, meta, msg.Src, msg)
+		return l.beginBusy(msg.Block, meta, msg.Src, msg)
 	case mem.BusAtom:
 		if meta.sharers != 0 || meta.owner >= 0 {
 			// Recall every copy (including the requester's), then
 			// perform at the L2.
-			l.beginBusy(msg.Block, meta, -1, msg)
-			return
+			return l.beginBusy(msg.Block, meta, -1, msg)
 		}
 		l.performAtomic(msg, line)
 	case mem.BusWB:
@@ -449,6 +479,7 @@ func (l *L2) serve(msg *mem.Msg, line *cache.Line[dirMeta]) {
 	default:
 		l.failf("unexpected-message", "message %v for block %v from SM %d", msg.Type, msg.Block, msg.Src)
 	}
+	return false
 }
 
 // grant completes a GetS/GetM (state per the grant code). GetM grants
@@ -466,17 +497,17 @@ func (l *L2) grant(msg *mem.Msg, line *cache.Line[dirMeta], state uint64) {
 	}
 	l.stats.FillsSent++
 	l.stats.DataAccesses++
-	data := &mem.Block{}
+	data := l.pool.Block()
 	*data = line.Data
 	l.array.Touch(line, l.now)
-	l.postNoC(&mem.Msg{
+	l.postNoC(l.pool.Msg(mem.Msg{
 		Type: mem.BusFill, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
 		WTS: state, Data: data, ReqID: msg.ReqID,
-	})
+	}))
 }
 
 func (l *L2) performAtomic(msg *mem.Msg, line *cache.Line[dirMeta]) {
-	old := &mem.Block{}
+	old := l.pool.Block()
 	mem.Merge(old, &line.Data, msg.Mask)
 	for i := 0; i < mem.WordsPerBlock; i++ {
 		if msg.Mask.Has(i) {
@@ -498,32 +529,29 @@ func (l *L2) performAtomic(msg *mem.Msg, line *cache.Line[dirMeta]) {
 			Mask: msg.Mask, Data: stored, Cycle: l.now,
 		})
 	}
-	l.postNoC(&mem.Msg{
+	l.postNoC(l.pool.Msg(mem.Msg{
 		Type: mem.BusAtomAck, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
 		Data: old, Mask: msg.Mask, ReqID: msg.ReqID, Warp: msg.Warp,
-	})
+	}))
 }
 
-// route dispatches a request when the line may be absent or busy.
+// route dispatches a request when the line may be absent or busy. It
+// takes ownership of msg: acks and writebacks are consumed at once;
+// other requests are served, or parked behind a busy transaction or an
+// outstanding miss.
 func (l *L2) route(msg *mem.Msg) {
-	if b, ok := l.busy[msg.Block]; ok {
-		if msg.Type == mem.BusInvAck {
-			l.onInvAck(msg)
-			return
-		}
-		if msg.Type == mem.BusWB {
-			l.onWB(msg)
-			return
-		}
-		b.waiting = append(b.waiting, msg)
-		return
-	}
 	switch msg.Type {
 	case mem.BusInvAck:
 		l.onInvAck(msg)
+		l.free(msg)
 		return
 	case mem.BusWB:
 		l.onWB(msg)
+		l.free(msg)
+		return
+	}
+	if b, ok := l.busy[msg.Block]; ok {
+		b.waiting = append(b.waiting, msg)
 		return
 	}
 	if m, ok := l.miss[msg.Block]; ok {
@@ -533,13 +561,33 @@ func (l *L2) route(msg *mem.Msg) {
 	line := l.array.Lookup(msg.Block)
 	if line == nil {
 		l.stats.Misses++
-		m := &l2Miss{block: msg.Block, waiting: []*mem.Msg{msg}}
+		m := l.newMiss(msg.Block)
+		m.waiting = append(m.waiting, msg)
 		l.miss[msg.Block] = m
-		l.postDRAM(&mem.Msg{Type: mem.DRAMRd, Block: msg.Block, Src: l.bankID, Dst: l.bankID})
+		l.postDRAM(l.pool.Msg(mem.Msg{Type: mem.DRAMRd, Block: msg.Block, Src: l.bankID, Dst: l.bankID}))
 		return
 	}
 	l.stats.Hits++
-	l.serve(msg, line)
+	l.consume(msg, line)
+}
+
+// newMiss returns an empty miss entry for b, reusing a freed one.
+func (l *L2) newMiss(b mem.BlockAddr) *l2Miss {
+	if n := len(l.spareMiss); n > 0 {
+		m := l.spareMiss[n-1]
+		l.spareMiss = l.spareMiss[:n-1]
+		m.block = b
+		return m
+	}
+	return &l2Miss{block: b}
+}
+
+// freeMiss recycles a resolved miss entry; its waiters must already be
+// consumed or handed on.
+func (l *L2) freeMiss(m *l2Miss) {
+	clear(m.waiting)
+	m.waiting = m.waiting[:0]
+	l.spareMiss = append(l.spareMiss, m)
 }
 
 // SyncClock implements coherence.L2.
@@ -572,12 +620,11 @@ func (l *L2) Tick(now uint64) {
 			l.tryInstall(m)
 		}
 	}
-	if len(l.outNoC) > 0 || len(l.outDRAM) > 0 {
+	if !l.outNoC.Empty() || !l.outDRAM.Empty() {
 		return
 	}
-	for i := 0; i < l.perCycle && len(l.inQ) > 0; i++ {
-		msg := l.inQ[0]
-		l.inQ = l.inQ[1:]
+	for i := 0; i < l.perCycle && !l.inQ.Empty(); i++ {
+		msg := l.inQ.Pop()
 		switch msg.Type {
 		case mem.BusRd:
 			l.stats.Reads++
@@ -592,30 +639,24 @@ func (l *L2) Tick(now uint64) {
 }
 
 func (l *L2) postNoC(msg *mem.Msg) {
-	if len(l.outNoC) == 0 && l.sendNoC.TrySend(msg) {
+	if l.outNoC.Empty() && l.sendNoC.TrySend(msg) {
 		return
 	}
-	l.outNoC = append(l.outNoC, msg)
+	l.outNoC.Push(msg)
 }
 
 func (l *L2) postDRAM(msg *mem.Msg) {
-	if len(l.outDRAM) == 0 && l.sendDRAM.TrySend(msg) {
+	if l.outDRAM.Empty() && l.sendDRAM.TrySend(msg) {
 		return
 	}
-	l.outDRAM = append(l.outDRAM, msg)
+	l.outDRAM.Push(msg)
 }
 
 func (l *L2) drainOut() {
-	for len(l.outNoC) > 0 {
-		if !l.sendNoC.TrySend(l.outNoC[0]) {
-			break
-		}
-		l.outNoC = l.outNoC[1:]
+	for !l.outNoC.Empty() && l.sendNoC.TrySend(l.outNoC.Head()) {
+		l.outNoC.Pop()
 	}
-	for len(l.outDRAM) > 0 {
-		if !l.sendDRAM.TrySend(l.outDRAM[0]) {
-			break
-		}
-		l.outDRAM = l.outDRAM[1:]
+	for !l.outDRAM.Empty() && l.sendDRAM.TrySend(l.outDRAM.Head()) {
+		l.outDRAM.Pop()
 	}
 }

@@ -71,12 +71,11 @@ type Partition struct {
 	Deliver func(msg *mem.Msg)
 }
 
-// SetPool shares a message pool with the partition (normally the
-// owning L2 bank's, so the DRAM read->fill->recycle loop is closed).
-// The partition then frees every request it consumes into the pool and
-// draws its fills from it. Without a pool it allocates fresh fills and
-// frees nothing — required for protocols whose L2s do not follow the
-// consume-and-free ownership discipline.
+// SetPool makes the partition draw its fills from pool and free every
+// request it consumes into it — normally the pool its machine shares
+// among all components, which closes the L2's DRAM read and write-back
+// loops (see mem.Pool). A partition built on its own uses a private
+// pool.
 func (p *Partition) SetPool(pool *mem.Pool) { p.pool = pool }
 
 // New builds a partition backed by store. The store is shared among
@@ -104,7 +103,7 @@ func New(cfg Config, id int, store *mem.Store) *Partition {
 	if cfg.RowMissLatency == 0 {
 		cfg.RowMissLatency = 280
 	}
-	p := &Partition{cfg: cfg, id: id, store: store}
+	p := &Partition{cfg: cfg, id: id, store: store, pool: &mem.Pool{}}
 	if cfg.Banked {
 		p.banked.banks = make([]bank, cfg.Banks)
 	}
@@ -170,22 +169,16 @@ func (p *Partition) serve(msg *mem.Msg, now, latency uint64) {
 	switch msg.Type {
 	case mem.DRAMRd:
 		p.stats.Reads++
-		var data *mem.Block
-		var fill *mem.Msg
-		if p.pool != nil {
-			data, fill = p.pool.Block(), p.pool.Msg()
-		} else {
-			data, fill = &mem.Block{}, &mem.Msg{}
-		}
+		data := p.pool.Block()
 		p.store.ReadBlock(msg.Block, data)
-		*fill = mem.Msg{
+		fill := p.pool.Msg(mem.Msg{
 			Type:  mem.DRAMFill,
 			Block: msg.Block,
 			Src:   p.id,
 			Dst:   msg.Src,
 			Data:  data,
 			ReqID: msg.ReqID,
-		}
+		})
 		p.fills.push(fill2{at: now + latency, seq: p.fillSeq(), msg: fill})
 		p.recycle(msg)
 	case mem.DRAMWr:
@@ -212,12 +205,8 @@ func (p *Partition) deliverDue(now uint64) {
 // delivery order deterministic and independent of heap layout.
 func (p *Partition) fillSeq() uint64 { p.seqCtr++; return p.seqCtr }
 
-// recycle frees a consumed request (and its payload) into the shared
-// pool; a no-op without one.
+// recycle frees a consumed request and its payload.
 func (p *Partition) recycle(msg *mem.Msg) {
-	if p.pool == nil {
-		return
-	}
 	p.pool.PutBlock(msg.Data)
 	p.pool.PutMsg(msg)
 }

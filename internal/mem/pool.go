@@ -1,56 +1,93 @@
 package mem
 
-// Pool recycles Msg and Block allocations inside one clock domain of
-// the memory hierarchy. Messages flow in closed loops (L1 request ->
-// L2 response -> L1, L2 DRAM read -> fill -> L2), so a controller that
-// frees every message it consumes and allocates every message it sends
-// from its own pool reaches a steady state where the hot paths
-// allocate nothing.
+// Pool recycles Msg and Block allocations inside one memory hierarchy.
+// Messages flow in closed loops (L1 request -> L2 response -> L1, L2
+// DRAM read -> fill -> L2), so when every controller frees the
+// messages it consumes and draws the messages it sends from one pool,
+// the hot paths reach a steady state that allocates nothing.
 //
-// Ownership discipline: a message belongs to exactly one component at
-// a time — the sender until the transport's Deliver callback runs,
-// the receiver afterwards. The receiver frees the message (and its
-// Data payload) once the handler returns, which is sound because every
-// consumer in this codebase copies what it keeps: fills install block
-// contents into a cache array, completions hand data to Done callbacks
-// that must not retain it (see coherence.Completion).
+// Ownership rule: a message belongs to exactly one component at a
+// time — the sender until the transport's Deliver callback runs, the
+// receiver afterwards. The receiver frees the message (and its Data
+// payload) once its handler returns, which is sound because every
+// consumer copies what it keeps: fills install block contents into a
+// cache array, and completions hand data to Done callbacks that must
+// not retain it (see coherence.Completion). A request a controller
+// parks (behind a miss, a stalled write or a directory transaction)
+// stays owned by it until the parked request is finally served.
 //
-// Pools are NOT thread-safe. Each pool is owned by one component and
-// follows the simulator's two-phase tick ownership rule: an L1's pool
-// is touched by its SM's worker during the compute phase and by the
-// master goroutine during the hierarchy phase, with the phase barrier
-// ordering the two; L2/DRAM pools are hierarchy-phase only.
+// Use-after-free tripwire: PutMsg and PutBlock overwrite the object
+// with a poison pattern (an invalid MsgType, 0xDEADBEEF words) rather
+// than zeroes; Msg overwrites a reused message whole and Block zeroes
+// a reused block. Code that reads a message after freeing it therefore
+// sees garbage that changes a golden fingerprint or fails a protocol
+// check in an ordinary test run. Freeing a message twice panics.
+//
+// A Pool is not safe for concurrent use. The simulator ticks every
+// component of one machine on one goroutine, so the machine's
+// controllers and DRAM partitions share a single pool (memsys.New
+// wires it); a controller built on its own gets a private one.
 type Pool struct {
 	msgs   []*Msg
 	blocks []*Block
 }
 
-// poolKeep bounds each free list. Flows between pools are not all
-// closed (an L1 gains a fill block per load but only spends blocks on
-// stores), so without a cap an unbalanced workload would grow a free
-// list forever; past the cap PutX drops the object for the GC.
+// poolKeep bounds each free list. Flows between the machine's
+// components are not always closed within a window (a burst of fills
+// frees blocks faster than stores spend them), so past the cap PutX
+// leaves the object to the GC instead of growing the free list. One
+// machine shares one pool, so the cap bounds what the whole machine
+// retains: at most 256 messages and 256 blocks, about 60 KB. On the
+// Fig-12 grid a cap of 32 made 8% more allocations than 256, and 1024
+// saved under 1% more.
 const poolKeep = 256
 
-// Msg returns a zeroed message.
-func (p *Pool) Msg() *Msg {
+// Poison values written by PutMsg/PutBlock (see Pool).
+const (
+	poisonType MsgType = 0xFF
+	poisonWord         = 0xDEADBEEF
+)
+
+var poisonMsg = Msg{Type: poisonType, Block: poisonWord, Src: -1, Dst: -1,
+	WTS: poisonWord, RTS: poisonWord, WarpTS: poisonWord, GWCT: poisonWord,
+	ReqID: poisonWord, Warp: -1, Epoch: poisonWord}
+
+var poisonBlock = func() (b Block) {
+	for i := range b.Words {
+		b.Words[i] = poisonWord
+	}
+	return b
+}()
+
+// Msg returns a pooled message holding a copy of m. (Returning &m
+// would move every argument to the heap.)
+func (p *Pool) Msg(m Msg) *Msg {
+	var x *Msg
 	if n := len(p.msgs); n > 0 {
-		m := p.msgs[n-1]
+		x = p.msgs[n-1]
 		p.msgs[n-1] = nil
 		p.msgs = p.msgs[:n-1]
-		return m
+	} else {
+		x = new(Msg)
 	}
-	return &Msg{}
+	*x = m
+	return x
 }
 
-// PutMsg recycles a consumed message. Zeroing happens here so Msg()
-// hands out the exact equivalent of &Msg{}, and so a pooled message
-// never pins its old Data block or payload for the GC.
+// PutMsg frees a consumed message; nil is a no-op. The message is
+// poisoned whether or not the free list keeps it, and it must not be
+// read again. Its Data block is not freed (see PutBlock).
 func (p *Pool) PutMsg(m *Msg) {
-	if m == nil || len(p.msgs) >= poolKeep {
+	if m == nil {
 		return
 	}
-	*m = Msg{}
-	p.msgs = append(p.msgs, m)
+	if m.Type == poisonType {
+		panic("mem: message freed twice")
+	}
+	*m = poisonMsg
+	if len(p.msgs) < poolKeep {
+		p.msgs = append(p.msgs, m)
+	}
 }
 
 // Block returns a zeroed data block.
@@ -59,19 +96,23 @@ func (p *Pool) Block() *Block {
 		b := p.blocks[n-1]
 		p.blocks[n-1] = nil
 		p.blocks = p.blocks[:n-1]
+		*b = Block{}
 		return b
 	}
 	return &Block{}
 }
 
-// PutBlock recycles a data block (nil is a no-op, so callers can free
-// msg.Data unconditionally).
+// PutBlock frees a data block; nil is a no-op, so callers can free
+// msg.Data unconditionally. The block is poisoned and must not be read
+// again.
 func (p *Pool) PutBlock(b *Block) {
-	if b == nil || len(p.blocks) >= poolKeep {
+	if b == nil {
 		return
 	}
-	*b = Block{}
-	p.blocks = append(p.blocks, b)
+	*b = poisonBlock
+	if len(p.blocks) < poolKeep {
+		p.blocks = append(p.blocks, b)
+	}
 }
 
 // MsgQueue is a FIFO of messages that reuses its backing array: Pop

@@ -224,6 +224,10 @@ type System struct {
 	tickedL1s   []int
 }
 
+// pooled is implemented by every controller: it makes the controller
+// draw and free messages through a pool shared with the machine.
+type pooled interface{ SetPool(*mem.Pool) }
+
 // New builds the hierarchy. obs may be nil.
 func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 	cfg.fillDefaults()
@@ -304,10 +308,6 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 				core.L2Geometry{Sets: cfg.L2Sets, Ways: cfg.L2Ways, PerCycle: cfg.L2PerCycle},
 				bankSend(i), s.dramSender(i), bankObs(i))
 			l2.AttachResets(s.Resets)
-			// The G-TSC controllers follow the consume-and-free
-			// message ownership discipline, so the bank's partition
-			// recycles through the bank's pool (see mem.Pool).
-			s.Parts[i].SetPool(l2.Pool())
 			s.L2s[i] = l2
 		}
 	case TC:
@@ -374,6 +374,18 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 				dir.Geometry{Sets: cfg.L1Sets, Ways: cfg.L1Ways, MSHRs: cfg.L1MSHRs},
 				send, l1obs)
 		}
+	}
+
+	// Every controller and partition frees the messages it consumes and
+	// draws the ones it sends from one machine-wide pool, so the
+	// request/response and DRAM loops recycle (see mem.Pool).
+	pool := &mem.Pool{}
+	for i := range s.L2s {
+		s.L2s[i].(pooled).SetPool(pool)
+		s.Parts[i].SetPool(pool)
+	}
+	for _, l1 := range s.L1s {
+		l1.(pooled).SetPool(pool)
 	}
 
 	s.Net.DeliverL2 = func(bank int, msg *mem.Msg) { s.L2s[bank].Deliver(msg) }

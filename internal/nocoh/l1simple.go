@@ -25,7 +25,8 @@ type L1Simple struct {
 	mshr  *cache.MSHR[simpleWaiter]
 
 	send  coherence.Sender
-	outQ  []*mem.Msg
+	outQ  mem.MsgQueue
+	pool  *mem.Pool // recycles msgs and blocks (see SetPool)
 	stats stats.L1Stats
 	obs   coherence.Observer
 
@@ -58,8 +59,14 @@ func NewL1Simple(smID, nBanks int, geo Geometry, send coherence.Sender, obs cohe
 		obs:         obs,
 		storesByID:  make(map[uint64]*coherence.Request),
 		atomicsByID: make(map[uint64]*coherence.Request),
+		pool:        &mem.Pool{},
 	}
 }
+
+// SetPool makes the controller draw and free its messages through pool,
+// normally the one its machine shares among all components (see
+// mem.Pool). Call it before the first access.
+func (l *L1Simple) SetPool(pool *mem.Pool) { l.pool = pool }
 
 // Stats implements coherence.L1.
 func (l *L1Simple) Stats() *stats.L1Stats { return &l.stats }
@@ -69,7 +76,7 @@ func (l *L1Simple) Pending() int { return l.pending }
 
 // Quiescent implements coherence.L1: Tick only drains outQ, so an
 // empty output queue means ticking is a pure no-op until new input.
-func (l *L1Simple) Quiescent() bool { return len(l.outQ) == 0 }
+func (l *L1Simple) Quiescent() bool { return l.outQ.Empty() }
 
 // failf records the first protocol violation; the controller then
 // drops further input until the simulator surfaces the error.
@@ -91,7 +98,7 @@ func (l *L1Simple) Err() error {
 func (l *L1Simple) DumpState() diag.CacheState {
 	return diag.CacheState{
 		Name: "nocoh-l1", ID: l.smID, Pending: l.pending,
-		MSHRUsed: l.mshr.Len(), MSHRCap: l.mshr.Cap(), OutQ: len(l.outQ),
+		MSHRUsed: l.mshr.Len(), MSHRCap: l.mshr.Cap(), OutQ: l.outQ.Len(),
 	}
 }
 
@@ -124,13 +131,13 @@ func (l *L1Simple) accessAtomic(req *coherence.Request) coherence.AccessResult {
 	l.nextReqID++
 	l.atomicsByID[l.nextReqID] = req
 	l.pending++
-	data := &mem.Block{}
+	data := l.pool.Block()
 	mem.Merge(data, req.Data, req.Mask)
-	l.post(&mem.Msg{
+	l.post(l.pool.Msg(mem.Msg{
 		Type: mem.BusAtom, Block: req.Block, Src: l.smID,
 		Dst: bankOf(req.Block, l.nBanks), Data: data, Mask: req.Mask,
 		Atom: req.Atom, ReqID: l.nextReqID, Warp: req.Warp,
-	})
+	}))
 	return coherence.Pending
 }
 
@@ -165,10 +172,10 @@ func (l *L1Simple) accessLoad(req *coherence.Request) coherence.AccessResult {
 	e.Issued = true
 	l.pending++
 	l.nextReqID++
-	l.post(&mem.Msg{
+	l.post(l.pool.Msg(mem.Msg{
 		Type: mem.BusRd, Block: req.Block, Src: l.smID,
 		Dst: bankOf(req.Block, l.nBanks), ReqID: l.nextReqID,
-	})
+	}))
 	return coherence.Pending
 }
 
@@ -185,18 +192,21 @@ func (l *L1Simple) accessStore(req *coherence.Request) coherence.AccessResult {
 	l.nextReqID++
 	l.storesByID[l.nextReqID] = req
 	l.pending++
-	data := &mem.Block{}
+	data := l.pool.Block()
 	mem.Merge(data, req.Data, req.Mask)
-	l.post(&mem.Msg{
+	l.post(l.pool.Msg(mem.Msg{
 		Type: mem.BusWr, Block: req.Block, Src: l.smID,
 		Dst: bankOf(req.Block, l.nBanks), Data: data, Mask: req.Mask,
 		ReqID: l.nextReqID, Warp: req.Warp,
-	})
+	}))
 	return coherence.Pending
 }
 
+// completeLoad fires a load's Done with the masked words of data. The
+// scratch block recycles as soon as Done returns (see
+// coherence.Completion).
 func (l *L1Simple) completeLoad(req *coherence.Request, data *mem.Block) {
-	out := &mem.Block{}
+	out := l.pool.Block()
 	mem.Merge(out, data, req.Mask)
 	if l.obs != nil {
 		l.obs.Observe(coherence.Op{
@@ -206,6 +216,7 @@ func (l *L1Simple) completeLoad(req *coherence.Request, data *mem.Block) {
 	}
 	l.pending--
 	req.Done(coherence.Completion{Data: out})
+	l.pool.PutBlock(out)
 }
 
 // Deliver implements coherence.L1.
@@ -215,25 +226,7 @@ func (l *L1Simple) Deliver(msg *mem.Msg) {
 	}
 	switch msg.Type {
 	case mem.BusFill:
-		l.stats.Fills++
-		line := l.array.Lookup(msg.Block)
-		if line == nil {
-			victim := l.array.Victim(msg.Block, nil)
-			l.array.Install(victim, msg.Block, msg.Data, l.now)
-			line = victim
-		} else {
-			line.Data = *msg.Data
-		}
-		l.stats.DataAccesses++
-		e := l.mshr.Lookup(msg.Block)
-		if e == nil {
-			return
-		}
-		for _, w := range e.Waiters {
-			l.stats.DataAccesses++
-			l.completeLoad(w.req, &line.Data)
-		}
-		l.mshr.Release(msg.Block)
+		l.onFill(msg)
 	case mem.BusWrAck:
 		l.stats.WriteAcks++
 		req, ok := l.storesByID[msg.ReqID]
@@ -256,6 +249,32 @@ func (l *L1Simple) Deliver(msg *mem.Msg) {
 	default:
 		l.failf("unexpected-message", "message %v for block %v from bank %d", msg.Type, msg.Block, msg.Src)
 	}
+	// The response is fully consumed: fills copy their payload into the
+	// array and acks complete their Done callbacks before returning.
+	l.pool.PutBlock(msg.Data)
+	l.pool.PutMsg(msg)
+}
+
+func (l *L1Simple) onFill(msg *mem.Msg) {
+	l.stats.Fills++
+	line := l.array.Lookup(msg.Block)
+	if line == nil {
+		victim := l.array.Victim(msg.Block, nil)
+		l.array.Install(victim, msg.Block, msg.Data, l.now)
+		line = victim
+	} else {
+		line.Data = *msg.Data
+	}
+	l.stats.DataAccesses++
+	e := l.mshr.Lookup(msg.Block)
+	if e == nil {
+		return
+	}
+	for _, w := range e.Waiters {
+		l.stats.DataAccesses++
+		l.completeLoad(w.req, &line.Data)
+	}
+	l.mshr.Release(msg.Block)
 }
 
 // Flush implements coherence.L1.
@@ -269,10 +288,10 @@ func (l *L1Simple) Flush() {
 }
 
 func (l *L1Simple) post(msg *mem.Msg) {
-	if len(l.outQ) == 0 && l.send.TrySend(msg) {
+	if l.outQ.Empty() && l.send.TrySend(msg) {
 		return
 	}
-	l.outQ = append(l.outQ, msg)
+	l.outQ.Push(msg)
 }
 
 // SyncClock implements coherence.L1.
@@ -281,10 +300,7 @@ func (l *L1Simple) SyncClock(now uint64) { l.now = now }
 // Tick implements coherence.L1.
 func (l *L1Simple) Tick(now uint64) {
 	l.now = now
-	for len(l.outQ) > 0 {
-		if !l.send.TrySend(l.outQ[0]) {
-			return
-		}
-		l.outQ = l.outQ[1:]
+	for !l.outQ.Empty() && l.send.TrySend(l.outQ.Head()) {
+		l.outQ.Pop()
 	}
 }

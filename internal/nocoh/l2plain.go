@@ -21,13 +21,18 @@ type L2Plain struct {
 	array *cache.Array[struct{}]
 	miss  map[mem.BlockAddr]*plainMiss
 
-	inQ      []*mem.Msg
+	inQ      mem.MsgQueue
 	perCycle int
 
 	sendNoC  coherence.Sender
 	sendDRAM coherence.Sender
-	outNoC   []*mem.Msg
-	outDRAM  []*mem.Msg
+	outNoC   mem.MsgQueue
+	outDRAM  mem.MsgQueue
+
+	// pool recycles the bank's msgs and blocks (see SetPool);
+	// spareMiss recycles resolved miss entries, waiter slices included.
+	pool      *mem.Pool
+	spareMiss []*plainMiss
 
 	stats stats.L2Stats
 	obs   coherence.Observer
@@ -63,15 +68,21 @@ func NewL2Plain(bankID int, geo L2Geometry, sendNoC, sendDRAM coherence.Sender, 
 		sendNoC:  sendNoC,
 		sendDRAM: sendDRAM,
 		obs:      obs,
+		pool:     &mem.Pool{},
 	}
 }
+
+// SetPool makes the bank draw and free its messages through pool,
+// normally the one its machine shares among all components, the DRAM
+// partitions included (see mem.Pool). Call it before the first request.
+func (l *L2Plain) SetPool(pool *mem.Pool) { l.pool = pool }
 
 // Stats implements coherence.L2.
 func (l *L2Plain) Stats() *stats.L2Stats { return &l.stats }
 
 // Pending implements coherence.L2.
 func (l *L2Plain) Pending() int {
-	n := len(l.inQ) + len(l.outNoC) + len(l.outDRAM)
+	n := l.inQ.Len() + l.outNoC.Len() + l.outDRAM.Len()
 	for _, m := range l.miss {
 		n += len(m.waiting) + 1
 	}
@@ -82,12 +93,12 @@ func (l *L2Plain) Pending() int {
 // quiescence: fills install unconditionally, so a miss entry only
 // changes state when its DRAM fill arrives (a scheduled event).
 func (l *L2Plain) Quiescent() bool {
-	return len(l.inQ) == 0 && len(l.outNoC) == 0 && len(l.outDRAM) == 0
+	return l.inQ.Empty() && l.outNoC.Empty() && l.outDRAM.Empty()
 }
 
 // Drained implements coherence.L2: O(1) Pending() == 0.
 func (l *L2Plain) Drained() bool {
-	return len(l.inQ) == 0 && len(l.outNoC) == 0 && len(l.outDRAM) == 0 && len(l.miss) == 0
+	return l.Quiescent() && len(l.miss) == 0
 }
 
 // failf records the first protocol violation; the bank then drops
@@ -110,8 +121,8 @@ func (l *L2Plain) Err() error {
 func (l *L2Plain) DumpState() diag.CacheState {
 	return diag.CacheState{
 		Name: "plain-l2", ID: l.bankID, Pending: l.Pending(),
-		MSHRUsed: len(l.miss), InQ: len(l.inQ),
-		OutQ: len(l.outNoC) + len(l.outDRAM), Misses: len(l.miss),
+		MSHRUsed: len(l.miss), InQ: l.inQ.Len(),
+		OutQ: l.outNoC.Len() + l.outDRAM.Len(), Misses: len(l.miss),
 	}
 }
 
@@ -120,7 +131,7 @@ func (l *L2Plain) Deliver(msg *mem.Msg) {
 	if l.fail != nil {
 		return
 	}
-	l.inQ = append(l.inQ, msg)
+	l.inQ.Push(msg)
 }
 
 // DRAMFill implements coherence.L2.
@@ -140,23 +151,34 @@ func (l *L2Plain) DRAMFill(msg *mem.Msg) {
 	}
 	l.array.Install(victim, msg.Block, msg.Data, l.now)
 	l.stats.DataAccesses++
+	// The array holds its own copy, so the fill is consumed.
+	l.pool.PutBlock(msg.Data)
+	l.pool.PutMsg(msg)
 	for _, w := range m.waiting {
-		l.process(w, victim)
+		l.consume(w, victim)
 	}
+	l.freeMiss(m)
 }
 
 func (l *L2Plain) evict(victim *cache.Line[struct{}]) {
 	l.stats.Evictions++
 	if victim.Dirty {
 		l.stats.WritebackDRAM++
-		data := &mem.Block{}
+		data := l.pool.Block()
 		*data = victim.Data
-		l.postDRAM(&mem.Msg{
+		l.postDRAM(l.pool.Msg(mem.Msg{
 			Type: mem.DRAMWr, Block: victim.Addr, Src: l.bankID, Dst: l.bankID,
 			Data: data, Mask: mem.MaskAll,
-		})
+		}))
 	}
 	l.array.Invalidate(victim)
+}
+
+// consume serves one request against a present line and frees it.
+func (l *L2Plain) consume(msg *mem.Msg, line *cache.Line[struct{}]) {
+	l.process(msg, line)
+	l.pool.PutBlock(msg.Data)
+	l.pool.PutMsg(msg)
 }
 
 func (l *L2Plain) process(msg *mem.Msg, line *cache.Line[struct{}]) {
@@ -165,7 +187,7 @@ func (l *L2Plain) process(msg *mem.Msg, line *cache.Line[struct{}]) {
 		l.array.Touch(line, l.now)
 		l.stats.FillsSent++
 		l.stats.DataAccesses++
-		data := &mem.Block{}
+		data := l.pool.Block()
 		*data = line.Data
 		if l.observeLoads && l.obs != nil {
 			var loaded mem.Block
@@ -175,10 +197,10 @@ func (l *L2Plain) process(msg *mem.Msg, line *cache.Line[struct{}]) {
 				Mask: msg.Mask, Data: loaded, Cycle: l.now,
 			})
 		}
-		l.postNoC(&mem.Msg{
+		l.postNoC(l.pool.Msg(mem.Msg{
 			Type: mem.BusFill, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
 			Data: data, ReqID: msg.ReqID,
-		})
+		}))
 	case mem.BusWr:
 		mem.Merge(&line.Data, msg.Data, msg.Mask)
 		line.Dirty = true
@@ -192,12 +214,13 @@ func (l *L2Plain) process(msg *mem.Msg, line *cache.Line[struct{}]) {
 				Mask: msg.Mask, Data: stored, Cycle: l.now,
 			})
 		}
-		l.postNoC(&mem.Msg{
+		ack := l.pool.Msg(mem.Msg{
 			Type: mem.BusWrAck, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
 			ReqID: msg.ReqID, Warp: msg.Warp,
 		})
+		l.postNoC(ack)
 	case mem.BusAtom:
-		old := &mem.Block{}
+		old := l.pool.Block()
 		mem.Merge(old, &line.Data, msg.Mask)
 		for i := 0; i < mem.WordsPerBlock; i++ {
 			if msg.Mask.Has(i) {
@@ -219,10 +242,10 @@ func (l *L2Plain) process(msg *mem.Msg, line *cache.Line[struct{}]) {
 				Mask: msg.Mask, Data: stored, Cycle: l.now,
 			})
 		}
-		l.postNoC(&mem.Msg{
+		l.postNoC(l.pool.Msg(mem.Msg{
 			Type: mem.BusAtomAck, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
 			Data: old, Mask: msg.Mask, ReqID: msg.ReqID, Warp: msg.Warp,
-		})
+		}))
 	default:
 		l.failf("unexpected-message", "message %v for block %v from SM %d", msg.Type, msg.Block, msg.Src)
 	}
@@ -239,13 +262,11 @@ func (l *L2Plain) TimedWake(uint64) (uint64, bool) { return 0, false }
 func (l *L2Plain) Tick(now uint64) {
 	l.now = now
 	l.drainOut()
-	if len(l.outNoC) > 0 || len(l.outDRAM) > 0 {
+	if !l.outNoC.Empty() || !l.outDRAM.Empty() {
 		return
 	}
-	for i := 0; i < l.perCycle && len(l.inQ) > 0; i++ {
-		msg := l.inQ[0]
-		l.inQ = l.inQ[1:]
-		l.service(msg)
+	for i := 0; i < l.perCycle && !l.inQ.Empty(); i++ {
+		l.service(l.inQ.Pop())
 	}
 }
 
@@ -269,41 +290,55 @@ func (l *L2Plain) service(msg *mem.Msg) {
 	line := l.array.Lookup(msg.Block)
 	if line == nil {
 		l.stats.Misses++
-		m := &plainMiss{block: msg.Block, waiting: []*mem.Msg{msg}}
+		m := l.newMiss(msg.Block)
+		m.waiting = append(m.waiting, msg)
 		l.miss[msg.Block] = m
-		l.postDRAM(&mem.Msg{Type: mem.DRAMRd, Block: msg.Block, Src: l.bankID, Dst: l.bankID})
+		l.postDRAM(l.pool.Msg(mem.Msg{Type: mem.DRAMRd, Block: msg.Block, Src: l.bankID, Dst: l.bankID}))
 		return
 	}
 	l.stats.Hits++
-	l.process(msg, line)
+	l.consume(msg, line)
+}
+
+// newMiss returns an empty miss entry for b, reusing a freed one.
+func (l *L2Plain) newMiss(b mem.BlockAddr) *plainMiss {
+	if n := len(l.spareMiss); n > 0 {
+		m := l.spareMiss[n-1]
+		l.spareMiss = l.spareMiss[:n-1]
+		m.block = b
+		return m
+	}
+	return &plainMiss{block: b}
+}
+
+// freeMiss recycles a resolved miss entry; its waiters must already be
+// consumed.
+func (l *L2Plain) freeMiss(m *plainMiss) {
+	clear(m.waiting)
+	m.waiting = m.waiting[:0]
+	l.spareMiss = append(l.spareMiss, m)
 }
 
 func (l *L2Plain) postNoC(msg *mem.Msg) {
-	if len(l.outNoC) == 0 && l.sendNoC.TrySend(msg) {
+	if l.outNoC.Empty() && l.sendNoC.TrySend(msg) {
 		return
 	}
-	l.outNoC = append(l.outNoC, msg)
+	l.outNoC.Push(msg)
 }
 
 func (l *L2Plain) postDRAM(msg *mem.Msg) {
-	if len(l.outDRAM) == 0 && l.sendDRAM.TrySend(msg) {
+	if l.outDRAM.Empty() && l.sendDRAM.TrySend(msg) {
 		return
 	}
-	l.outDRAM = append(l.outDRAM, msg)
+	l.outDRAM.Push(msg)
 }
 
 func (l *L2Plain) drainOut() {
-	for len(l.outNoC) > 0 {
-		if !l.sendNoC.TrySend(l.outNoC[0]) {
-			break
-		}
-		l.outNoC = l.outNoC[1:]
+	for !l.outNoC.Empty() && l.sendNoC.TrySend(l.outNoC.Head()) {
+		l.outNoC.Pop()
 	}
-	for len(l.outDRAM) > 0 {
-		if !l.sendDRAM.TrySend(l.outDRAM[0]) {
-			break
-		}
-		l.outDRAM = l.outDRAM[1:]
+	for !l.outDRAM.Empty() && l.sendDRAM.TrySend(l.outDRAM.Head()) {
+		l.outDRAM.Pop()
 	}
 }
 
@@ -312,11 +347,10 @@ func (l *L2Plain) drainOut() {
 func (l *L2Plain) SetObserveLoads(v bool) { l.observeLoads = v }
 
 // Peek implements coherence.L2 (verification hook).
-func (l *L2Plain) Peek(b mem.BlockAddr) (*mem.Block, bool) {
+func (l *L2Plain) Peek(b mem.BlockAddr) (mem.Block, bool) {
 	line := l.array.Lookup(b)
 	if line == nil {
-		return nil, false
+		return mem.Block{}, false
 	}
-	data := line.Data
-	return &data, true
+	return line.Data, true
 }

@@ -32,7 +32,8 @@ type L1Bypass struct {
 	nBanks  int
 	now     uint64
 	send    coherence.Sender
-	outQ    []*mem.Msg
+	outQ    mem.MsgQueue
+	pool    *mem.Pool // recycles msgs and blocks (see SetPool)
 	stats   stats.L1Stats
 	obs     coherence.Observer
 	reqByID map[uint64]*coherence.Request
@@ -49,8 +50,14 @@ func NewL1Bypass(smID, nBanks int, send coherence.Sender, obs coherence.Observer
 	return &L1Bypass{
 		smID: smID, nBanks: nBanks, send: send, obs: obs,
 		reqByID: make(map[uint64]*coherence.Request), maxOutstanding: 64,
+		pool: &mem.Pool{},
 	}
 }
+
+// SetPool makes the controller draw and free its messages through pool,
+// normally the one its machine shares among all components (see
+// mem.Pool). Call it before the first access.
+func (l *L1Bypass) SetPool(pool *mem.Pool) { l.pool = pool }
 
 // Stats implements coherence.L1.
 func (l *L1Bypass) Stats() *stats.L1Stats { return &l.stats }
@@ -60,7 +67,7 @@ func (l *L1Bypass) Pending() int { return l.pending }
 
 // Quiescent implements coherence.L1: Tick only drains outQ, so an
 // empty output queue means ticking is a pure no-op until new input.
-func (l *L1Bypass) Quiescent() bool { return len(l.outQ) == 0 }
+func (l *L1Bypass) Quiescent() bool { return l.outQ.Empty() }
 
 // Flush implements coherence.L1 (nothing cached, nothing to do).
 func (l *L1Bypass) Flush() {}
@@ -85,7 +92,7 @@ func (l *L1Bypass) Err() error {
 func (l *L1Bypass) DumpState() diag.CacheState {
 	return diag.CacheState{
 		Name: "bl-l1", ID: l.smID, Pending: l.pending,
-		MSHRUsed: len(l.reqByID), MSHRCap: l.maxOutstanding, OutQ: len(l.outQ),
+		MSHRUsed: len(l.reqByID), MSHRCap: l.maxOutstanding, OutQ: l.outQ.Len(),
 	}
 }
 
@@ -98,23 +105,23 @@ func (l *L1Bypass) Access(req *coherence.Request) coherence.AccessResult {
 	l.nextID++
 	l.reqByID[l.nextID] = req
 	l.pending++
-	msg := &mem.Msg{
+	msg := l.pool.Msg(mem.Msg{
 		Block: req.Block, Src: l.smID, Dst: bankOf(req.Block, l.nBanks),
 		ReqID: l.nextID, Warp: req.Warp,
-	}
+	})
 	if req.Atomic {
 		l.stats.Atomics++
 		msg.Type = mem.BusAtom
 		msg.Mask = req.Mask
 		msg.Atom = req.Atom
-		data := &mem.Block{}
+		data := l.pool.Block()
 		mem.Merge(data, req.Data, req.Mask)
 		msg.Data = data
 	} else if req.Store {
 		l.stats.Stores++
 		msg.Type = mem.BusWr
 		msg.Mask = req.Mask
-		data := &mem.Block{}
+		data := l.pool.Block()
 		mem.Merge(data, req.Data, req.Mask)
 		msg.Data = data
 	} else {
@@ -144,11 +151,12 @@ func (l *L1Bypass) Deliver(msg *mem.Msg) {
 	switch msg.Type {
 	case mem.BusFill:
 		l.stats.Fills++
-		out := &mem.Block{}
+		out := l.pool.Block()
 		mem.Merge(out, msg.Data, req.Mask)
 		// Loads are observed at the L2, where their value binds; the
 		// shim only delivers the completion.
 		req.Done(coherence.Completion{Data: out})
+		l.pool.PutBlock(out)
 	case mem.BusWrAck:
 		l.stats.WriteAcks++
 		req.Done(coherence.Completion{})
@@ -157,13 +165,16 @@ func (l *L1Bypass) Deliver(msg *mem.Msg) {
 	default:
 		l.failf("unexpected-message", "message %v for block %v from bank %d", msg.Type, msg.Block, msg.Src)
 	}
+	// Done has returned, so the response and its payload are consumed.
+	l.pool.PutBlock(msg.Data)
+	l.pool.PutMsg(msg)
 }
 
 func (l *L1Bypass) post(msg *mem.Msg) {
-	if len(l.outQ) == 0 && l.send.TrySend(msg) {
+	if l.outQ.Empty() && l.send.TrySend(msg) {
 		return
 	}
-	l.outQ = append(l.outQ, msg)
+	l.outQ.Push(msg)
 }
 
 // SyncClock implements coherence.L1.
@@ -172,10 +183,7 @@ func (l *L1Bypass) SyncClock(now uint64) { l.now = now }
 // Tick implements coherence.L1.
 func (l *L1Bypass) Tick(now uint64) {
 	l.now = now
-	for len(l.outQ) > 0 {
-		if !l.send.TrySend(l.outQ[0]) {
-			return
-		}
-		l.outQ = l.outQ[1:]
+	for !l.outQ.Empty() && l.send.TrySend(l.outQ.Head()) {
+		l.outQ.Pop()
 	}
 }

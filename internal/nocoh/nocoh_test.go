@@ -45,13 +45,13 @@ func (h *harness) pump() {
 		for len(h.toL2) > 0 {
 			m := h.toL2[0]
 			h.toL2 = h.toL2[1:]
-			h.l2.Deliver(m)
+			h.l2.Deliver(copyMsg(m))
 			progress = true
 		}
 		for len(h.toL1) > 0 {
 			m := h.toL1[0]
 			h.toL1 = h.toL1[1:]
-			h.l1.Deliver(m)
+			h.l1.Deliver(copyMsg(m))
 			progress = true
 		}
 		for len(h.dram) > 0 {
@@ -72,6 +72,17 @@ func (h *harness) pump() {
 		}
 	}
 	h.t.Fatal("no quiescence")
+}
+
+// copyMsg deep-copies m. Receivers recycle the messages they consume,
+// so the harness delivers copies and its log keeps the originals.
+func copyMsg(m *mem.Msg) *mem.Msg {
+	c := *m
+	if m.Data != nil {
+		d := *m.Data
+		c.Data = &d
+	}
+	return &c
 }
 
 // loadResult holds a load's value once it completes (V stays nil

@@ -16,7 +16,7 @@ func (l *L1) DigestState(w io.Writer) {
 	fmt.Fprintf(w, "tc-l1[%d] now=%d next=%d pend=%d\n", l.smID, l.now, l.nextReqID, l.pending)
 	l.array.DigestInto(w)
 	l.mshr.DigestInto(w)
-	mem.DigestMsgs(w, "outq", l.outQ)
+	mem.DigestMsgs(w, "outq", l.outQ.Items())
 	mem.DigestIDTable(w, "st", l.storesByID)
 	mem.DigestIDTable(w, "atom", l.atomicsByID)
 }
@@ -37,7 +37,7 @@ func (l *L2) DigestState(w io.Writer) {
 		fmt.Fprintf(w, "blocked %#x\n", uint64(b))
 		mem.DigestMsgs(w, "q", msgs)
 	})
-	mem.DigestMsgs(w, "inq", l.inQ)
-	mem.DigestMsgs(w, "outnoc", l.outNoC)
-	mem.DigestMsgs(w, "outdram", l.outDRAM)
+	mem.DigestMsgs(w, "inq", l.inQ.Items())
+	mem.DigestMsgs(w, "outnoc", l.outNoC.Items())
+	mem.DigestMsgs(w, "outdram", l.outDRAM.Items())
 }

@@ -39,13 +39,20 @@ type L2 struct {
 	// the block's leases expire.
 	blocked map[mem.BlockAddr][]*mem.Msg
 
-	inQ      []*mem.Msg
+	inQ      mem.MsgQueue
 	perCycle int
 
 	sendNoC  coherence.Sender
 	sendDRAM coherence.Sender
-	outNoC   []*mem.Msg
-	outDRAM  []*mem.Msg
+	outNoC   mem.MsgQueue
+	outDRAM  mem.MsgQueue
+
+	// pool recycles the bank's msgs and blocks (see SetPool);
+	// spareMiss and spareQueues recycle resolved miss entries and
+	// drained blocked queues, backing arrays included.
+	pool        *mem.Pool
+	spareMiss   []*l2Miss
+	spareQueues [][]*mem.Msg
 
 	stats   stats.L2Stats
 	obs     coherence.Observer
@@ -88,15 +95,21 @@ func NewL2(cfg Config, bankID int, geo L2Geometry, sendNoC, sendDRAM coherence.S
 		sendNoC:  sendNoC,
 		sendDRAM: sendDRAM,
 		obs:      obs,
+		pool:     &mem.Pool{},
 	}
 }
+
+// SetPool makes the bank draw and free its messages through pool,
+// normally the one its machine shares among all components, the DRAM
+// partitions included (see mem.Pool). Call it before the first request.
+func (l *L2) SetPool(pool *mem.Pool) { l.pool = pool }
 
 // Stats implements coherence.L2.
 func (l *L2) Stats() *stats.L2Stats { return &l.stats }
 
 // Pending implements coherence.L2.
 func (l *L2) Pending() int {
-	n := len(l.inQ) + len(l.outNoC) + len(l.outDRAM)
+	n := l.inQ.Len() + l.outNoC.Len() + l.outDRAM.Len()
 	for _, m := range l.miss {
 		n += len(m.waiting) + 1
 	}
@@ -116,14 +129,12 @@ func (l *L2) Pending() int {
 // outstanding miss is fine: it only changes state when its DRAM fill
 // message arrives.
 func (l *L2) Quiescent() bool {
-	return len(l.inQ) == 0 && len(l.outNoC) == 0 && len(l.outDRAM) == 0 &&
-		len(l.blocked) == 0 && l.stalledFills == 0
+	return !l.MsgPending() && len(l.blocked) == 0 && l.stalledFills == 0
 }
 
 // Drained implements coherence.L2: O(1) Pending() == 0.
 func (l *L2) Drained() bool {
-	return len(l.inQ) == 0 && len(l.outNoC) == 0 && len(l.outDRAM) == 0 &&
-		len(l.miss) == 0 && len(l.blocked) == 0
+	return !l.MsgPending() && len(l.miss) == 0 && len(l.blocked) == 0
 }
 
 // failf records the first protocol violation; the bank then drops
@@ -150,7 +161,7 @@ func (l *L2) DumpState() diag.CacheState {
 	}
 	return diag.CacheState{
 		Name: "tc-l2", ID: l.bankID, Pending: l.Pending(),
-		InQ: len(l.inQ), OutQ: len(l.outNoC) + len(l.outDRAM),
+		InQ: l.inQ.Len(), OutQ: l.outNoC.Len() + l.outDRAM.Len(),
 		Misses: len(l.miss), Blocked: blocked,
 	}
 }
@@ -160,7 +171,7 @@ func (l *L2) Deliver(msg *mem.Msg) {
 	if l.fail != nil {
 		return
 	}
-	l.inQ = append(l.inQ, msg)
+	l.inQ.Push(msg)
 }
 
 // DRAMFill implements coherence.L2.
@@ -173,7 +184,11 @@ func (l *L2) DRAMFill(msg *mem.Msg) {
 		l.failf("orphan-dram-fill", "DRAM fill for %v without outstanding miss", msg.Block)
 		return
 	}
+	// The miss keeps the payload until the install succeeds; the fill
+	// message itself is consumed here.
 	m.data = msg.Data
+	msg.Data = nil
+	l.pool.PutMsg(msg)
 	l.stalledFills++
 	l.tryInstall(m)
 }
@@ -194,22 +209,25 @@ func (l *L2) tryInstall(m *l2Miss) {
 		l.evict(victim)
 	}
 	l.array.Install(victim, m.block, m.data, l.now)
+	l.pool.PutBlock(m.data)
+	m.data = nil
 	l.stats.DataAccesses++
 	delete(l.miss, m.block)
 	l.stalledFills--
 	l.runQueue(m.block, victim, m.waiting)
+	l.freeMiss(m)
 }
 
 func (l *L2) evict(victim *cache.Line[l2Meta]) {
 	l.stats.Evictions++
 	if victim.Dirty {
 		l.stats.WritebackDRAM++
-		data := &mem.Block{}
+		data := l.pool.Block()
 		*data = victim.Data
-		l.postDRAM(&mem.Msg{
+		l.postDRAM(l.pool.Msg(mem.Msg{
 			Type: mem.DRAMWr, Block: victim.Addr, Src: l.bankID, Dst: l.bankID,
 			Data: data, Mask: mem.MaskAll,
-		})
+		}))
 	}
 	l.array.Invalidate(victim)
 }
@@ -219,13 +237,37 @@ func (l *L2) evict(victim *cache.Line[l2Meta]) {
 // l.blocked for Tick to resume.
 func (l *L2) runQueue(block mem.BlockAddr, line *cache.Line[l2Meta], msgs []*mem.Msg) {
 	for i, msg := range msgs {
-		writesBack := msg.Type == mem.BusWr || msg.Type == mem.BusAtom
-		if writesBack && !l.cfg.Weak && line.Meta.expiry > l.now && !l.MutIgnoreWriteStall {
-			l.blocked[block] = append(l.blocked[block], msgs[i:]...)
+		if l.mustStall(msg, line) {
+			l.park(block, msgs[i:]...)
 			return
 		}
-		l.process(msg, line)
+		l.consume(msg, line)
 	}
+}
+
+// mustStall reports whether msg is a TC-Strong write or atomic that
+// has to wait for line's leases to expire (§II-D3).
+func (l *L2) mustStall(msg *mem.Msg, line *cache.Line[l2Meta]) bool {
+	writesBack := msg.Type == mem.BusWr || msg.Type == mem.BusAtom
+	return writesBack && !l.cfg.Weak && line.Meta.expiry > l.now && !l.MutIgnoreWriteStall
+}
+
+// park appends msgs to block's blocked queue, starting the queue from a
+// recycled backing array.
+func (l *L2) park(block mem.BlockAddr, msgs ...*mem.Msg) {
+	q, ok := l.blocked[block]
+	if n := len(l.spareQueues); !ok && n > 0 {
+		q = l.spareQueues[n-1]
+		l.spareQueues = l.spareQueues[:n-1]
+	}
+	l.blocked[block] = append(q, msgs...)
+}
+
+// consume serves one request against a present line and frees it.
+func (l *L2) consume(msg *mem.Msg, line *cache.Line[l2Meta]) {
+	l.process(msg, line)
+	l.pool.PutBlock(msg.Data)
+	l.pool.PutMsg(msg)
 }
 
 func (l *L2) process(msg *mem.Msg, line *cache.Line[l2Meta]) {
@@ -246,7 +288,7 @@ func (l *L2) process(msg *mem.Msg, line *cache.Line[l2Meta]) {
 // write); TC-Weak performs immediately and reports the GWCT.
 func (l *L2) performAtomic(msg *mem.Msg, line *cache.Line[l2Meta]) {
 	gwct := maxu(line.Meta.expiry, l.now)
-	old := &mem.Block{}
+	old := l.pool.Block()
 	mem.Merge(old, &line.Data, msg.Mask)
 	for i := 0; i < mem.WordsPerBlock; i++ {
 		if msg.Mask.Has(i) {
@@ -268,10 +310,10 @@ func (l *L2) performAtomic(msg *mem.Msg, line *cache.Line[l2Meta]) {
 			Mask: msg.Mask, Data: stored, Cycle: l.now,
 		})
 	}
-	ack := &mem.Msg{
+	ack := l.pool.Msg(mem.Msg{
 		Type: mem.BusAtomAck, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
 		Data: old, Mask: msg.Mask, ReqID: msg.ReqID, Warp: msg.Warp,
-	}
+	})
 	if l.cfg.Weak {
 		ack.GWCT = gwct
 	}
@@ -286,12 +328,12 @@ func (l *L2) processRead(msg *mem.Msg, line *cache.Line[l2Meta]) {
 	l.array.Touch(line, l.now)
 	l.stats.FillsSent++
 	l.stats.DataAccesses++
-	data := &mem.Block{}
+	data := l.pool.Block()
 	*data = line.Data
-	l.postNoC(&mem.Msg{
+	l.postNoC(l.pool.Msg(mem.Msg{
 		Type: mem.BusFill, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
 		RTS: line.Meta.expiry, Data: data, ReqID: msg.ReqID,
-	})
+	}))
 }
 
 // performWrite commits a write at the L2. TC-Strong callers guarantee
@@ -312,10 +354,10 @@ func (l *L2) performWrite(msg *mem.Msg, line *cache.Line[l2Meta]) {
 			Mask: msg.Mask, Data: stored, Cycle: l.now,
 		})
 	}
-	ack := &mem.Msg{
+	ack := l.pool.Msg(mem.Msg{
 		Type: mem.BusWrAck, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
 		ReqID: msg.ReqID, Warp: msg.Warp,
-	}
+	})
 	if l.cfg.Weak {
 		ack.GWCT = gwct
 	}
@@ -387,13 +429,11 @@ func (l *L2) Tick(now uint64) {
 	l.drainOut()
 	l.resumeBlocked()
 	l.retryInstalls()
-	if len(l.outNoC) > 0 || len(l.outDRAM) > 0 {
+	if !l.outNoC.Empty() || !l.outDRAM.Empty() {
 		return
 	}
-	for i := 0; i < l.perCycle && len(l.inQ) > 0; i++ {
-		msg := l.inQ[0]
-		l.inQ = l.inQ[1:]
-		l.service(msg)
+	for i := 0; i < l.perCycle && !l.inQ.Empty(); i++ {
+		l.service(l.inQ.Pop())
 	}
 }
 
@@ -424,6 +464,8 @@ func (l *L2) resumeBlocked() {
 		}
 		delete(l.blocked, block)
 		l.runQueue(block, line, q)
+		clear(q)
+		l.spareQueues = append(l.spareQueues, q[:0])
 	}
 }
 
@@ -474,41 +516,59 @@ func (l *L2) service(msg *mem.Msg) {
 	line := l.array.Lookup(msg.Block)
 	if line == nil {
 		l.stats.Misses++
-		m := &l2Miss{block: msg.Block, waiting: []*mem.Msg{msg}}
+		m := l.newMiss(msg.Block)
+		m.waiting = append(m.waiting, msg)
 		l.miss[msg.Block] = m
-		l.postDRAM(&mem.Msg{Type: mem.DRAMRd, Block: msg.Block, Src: l.bankID, Dst: l.bankID})
+		l.postDRAM(l.pool.Msg(mem.Msg{Type: mem.DRAMRd, Block: msg.Block, Src: l.bankID, Dst: l.bankID}))
 		return
 	}
 	l.stats.Hits++
-	l.runQueue(msg.Block, line, []*mem.Msg{msg})
+	if l.mustStall(msg, line) {
+		l.park(msg.Block, msg)
+		return
+	}
+	l.consume(msg, line)
+}
+
+// newMiss returns an empty miss entry for b, reusing a freed one.
+func (l *L2) newMiss(b mem.BlockAddr) *l2Miss {
+	if n := len(l.spareMiss); n > 0 {
+		m := l.spareMiss[n-1]
+		l.spareMiss = l.spareMiss[:n-1]
+		m.block = b
+		return m
+	}
+	return &l2Miss{block: b}
+}
+
+// freeMiss recycles a resolved miss entry; its waiters must already be
+// consumed or parked.
+func (l *L2) freeMiss(m *l2Miss) {
+	clear(m.waiting)
+	m.waiting = m.waiting[:0]
+	l.spareMiss = append(l.spareMiss, m)
 }
 
 func (l *L2) postNoC(msg *mem.Msg) {
-	if len(l.outNoC) == 0 && l.sendNoC.TrySend(msg) {
+	if l.outNoC.Empty() && l.sendNoC.TrySend(msg) {
 		return
 	}
-	l.outNoC = append(l.outNoC, msg)
+	l.outNoC.Push(msg)
 }
 
 func (l *L2) postDRAM(msg *mem.Msg) {
-	if len(l.outDRAM) == 0 && l.sendDRAM.TrySend(msg) {
+	if l.outDRAM.Empty() && l.sendDRAM.TrySend(msg) {
 		return
 	}
-	l.outDRAM = append(l.outDRAM, msg)
+	l.outDRAM.Push(msg)
 }
 
 func (l *L2) drainOut() {
-	for len(l.outNoC) > 0 {
-		if !l.sendNoC.TrySend(l.outNoC[0]) {
-			break
-		}
-		l.outNoC = l.outNoC[1:]
+	for !l.outNoC.Empty() && l.sendNoC.TrySend(l.outNoC.Head()) {
+		l.outNoC.Pop()
 	}
-	for len(l.outDRAM) > 0 {
-		if !l.sendDRAM.TrySend(l.outDRAM[0]) {
-			break
-		}
-		l.outDRAM = l.outDRAM[1:]
+	for !l.outDRAM.Empty() && l.sendDRAM.TrySend(l.outDRAM.Head()) {
+		l.outDRAM.Pop()
 	}
 }
 
@@ -521,7 +581,7 @@ func (l *L2) drainOut() {
 // (e.g. a lease expiring in flight forever re-sending the same read)
 // while preserving the expiry-vs-access races.
 func (l *L2) MsgPending() bool {
-	return len(l.inQ) > 0 || len(l.outNoC) > 0 || len(l.outDRAM) > 0
+	return !l.inQ.Empty() || !l.outNoC.Empty() || !l.outDRAM.Empty()
 }
 
 // ForEachLease implements coherence.LeaseHolder: each resident line's
@@ -545,11 +605,10 @@ func (l *L2) NextTimeEvent(now uint64) (uint64, bool) {
 }
 
 // Peek implements coherence.L2 (verification hook).
-func (l *L2) Peek(b mem.BlockAddr) (*mem.Block, bool) {
+func (l *L2) Peek(b mem.BlockAddr) (mem.Block, bool) {
 	line := l.array.Lookup(b)
 	if line == nil {
-		return nil, false
+		return mem.Block{}, false
 	}
-	data := line.Data
-	return &data, true
+	return line.Data, true
 }

@@ -54,12 +54,12 @@ func (h *harness) step() {
 	for len(h.toL2) > 0 {
 		m := h.toL2[0]
 		h.toL2 = h.toL2[1:]
-		h.l2.Deliver(m)
+		h.l2.Deliver(copyMsg(m))
 	}
 	for len(h.toL1) > 0 {
 		m := h.toL1[0]
 		h.toL1 = h.toL1[1:]
-		h.l1s[m.Dst].Deliver(m)
+		h.l1s[m.Dst].Deliver(copyMsg(m))
 	}
 	for len(h.dram) > 0 {
 		m := h.dram[0]
@@ -73,6 +73,17 @@ func (h *harness) step() {
 			h.store.WriteBlock(m.Block, m.Data, m.Mask)
 		}
 	}
+}
+
+// copyMsg deep-copies m. Receivers recycle the messages they consume,
+// so the harness delivers copies and its log keeps the originals.
+func copyMsg(m *mem.Msg) *mem.Msg {
+	c := *m
+	if m.Data != nil {
+		d := *m.Data
+		c.Data = &d
+	}
+	return &c
 }
 
 // stepUntil advances the clock to the given cycle.
@@ -108,11 +119,24 @@ type captured struct {
 	c      coherence.Completion
 }
 
+// capture returns a Done callback recording into out. Completion.Data
+// is only valid during the callback (the controller recycles the
+// block), so it is deep-copied.
+func (h *harness) capture(out *captured) func(coherence.Completion) {
+	return func(c coherence.Completion) {
+		out.done, out.c, out.doneAt = true, c, h.now
+		if c.Data != nil {
+			d := *c.Data
+			out.c.Data = &d
+		}
+	}
+}
+
 func (h *harness) load(sm, warp int, b mem.BlockAddr, word int) *captured {
 	out := &captured{}
 	req := &coherence.Request{
 		Block: b, Mask: mem.WordMask(0).Set(word), Warp: warp,
-		Done: func(c coherence.Completion) { out.done = true; out.c = c; out.doneAt = h.now },
+		Done: h.capture(out),
 	}
 	out.res = h.l1s[sm].Access(req)
 	return out
@@ -124,7 +148,7 @@ func (h *harness) storeWord(sm, warp int, b mem.BlockAddr, word int, val uint32)
 	data.Words[word] = val
 	req := &coherence.Request{
 		Block: b, Store: true, Mask: mem.WordMask(0).Set(word), Data: data, Warp: warp,
-		Done: func(c coherence.Completion) { out.done = true; out.c = c; out.doneAt = h.now },
+		Done: h.capture(out),
 	}
 	out.res = h.l1s[sm].Access(req)
 	return out
@@ -329,7 +353,7 @@ func (h *harness) atomic(sm, warp int, b mem.BlockAddr, word int, op mem.AtomicO
 	req := &coherence.Request{
 		Block: b, Atomic: true, Atom: op, Mask: mem.WordMask(0).Set(word),
 		Data: data, Warp: warp,
-		Done: func(c coherence.Completion) { out.done = true; out.c = c; out.doneAt = h.now },
+		Done: h.capture(out),
 	}
 	out.res = h.l1s[sm].Access(req)
 	return out

@@ -154,7 +154,7 @@ func TestTimedWakeRefusesMessageWork(t *testing.T) {
 	r, _, _ = parkedRig()
 	r.rejectNoC = true
 	r.request(mem.BusRd, 2, 0, 9) // a hit on Y: its fill reply backs up behind the port
-	if len(r.l2.outNoC) == 0 {
+	if r.l2.outNoC.Empty() {
 		t.Fatal("reply was not held back")
 	}
 	if _, ok := r.l2.TimedWake(r.now); ok {
