@@ -52,7 +52,6 @@ func realMain() int {
 		tsbits = flag.Int("tsbits", 0, "G-TSC timestamp width in bits (0 = protocol default 16; narrow widths make the §V-D overflow reset routine)")
 		tcl    = flag.Uint64("tc-lease", 400, "TC lease in cycles")
 		jobs   = flag.Int("j", 0, "simulation workers (0 = GOMAXPROCS, 1 = serial); results are bit-identical at any -j")
-		slack  = flag.Uint64("slack", 0, "relaxed-synchronization bound in cycles for every run (0 = bit-exact). Nonzero slack perturbs cycle counts boundedly with functional results preserved; it is result-affecting, so it is part of cache keys and journal signatures. Ignored under -faultseed")
 
 		journal   = flag.String("journal", "", "crash-safe run journal: completed simulations are persisted here and replayed on restart")
 		timeout   = flag.Duration("timeout", 0, "bound wall-clock time; on expiry the sweep suspends gracefully and exits 3")
@@ -72,7 +71,6 @@ func realMain() int {
 	cfg.Workers = *jobs
 	cfg.FaultSeed = *faultSeed
 	cfg.RetryTransient = *retry
-	cfg.Slack = *slack
 	cfg.KeepGoing = *keepGoing
 
 	// First SIGINT/SIGTERM: cancel the session; in-flight simulations

@@ -75,7 +75,6 @@ func realMain() int {
 		doCheck  = flag.Bool("check", false, "verify protocol invariants with the operation checker")
 		list     = flag.Bool("list", false, "list workloads and exit")
 		jobs     = flag.Int("j", 1, "workers for multi-workload runs (0 = GOMAXPROCS); each run is hermetic, so output is identical at any -j")
-		slack    = flag.Uint64("slack", 0, "relaxed-synchronization bound in cycles: domains free-run up to this many cycles between epoch barriers (0 = bit-exact). Nonzero slack perturbs cycle counts boundedly; functional results are preserved. Ignored under -faultseed")
 
 		maxCycles = flag.Uint64("maxcycles", 0, "hard per-kernel cycle budget (0 = default 200M)")
 		watchdog  = flag.Uint64("watchdog", 0, "forward-progress watchdog window in cycles (0 = default 100k)")
@@ -169,7 +168,6 @@ func realMain() int {
 	cfg.MaxCycles = *maxCycles
 	cfg.WatchdogWindow = *watchdog
 	cfg.DisableWatchdog = *wdOff
-	cfg.SlackCycles = *slack
 	if *faultSeed != 0 {
 		cfg.Mem.Fault = fault.Chaos(*faultSeed)
 		fmt.Printf("fault plan: %s\n", cfg.Mem.Fault)
@@ -382,19 +380,9 @@ func runCheckpointed(ctx context.Context, wl *workload.Workload, cfg sim.Config,
 // stall-heavy workloads.
 func printEngineLine(eng *sim.EngineStats) {
 	executed := eng.RunCycles + eng.DrainCycles
-	fmt.Printf("engine: mode=%s executed=%d skipped=%d (windows %d, mean width %.1f) dispatches=%d (hierarchy %d + sm %d) sm_sleep_cycles=%d sm_wakes=%d\n",
-		eng.Mode(), executed, eng.SkippedCycles(), eng.SkipWindows, eng.MeanSkipWidth(),
+	fmt.Printf("engine: executed=%d skipped=%d (windows %d, mean width %.1f) dispatches=%d (hierarchy %d + sm %d) sm_sleep_cycles=%d sm_wakes=%d\n",
+		executed, eng.SkippedCycles(), eng.SkipWindows, eng.MeanSkipWidth(),
 		eng.Dispatches(), executed, eng.SMTicks, eng.SMSleepCycles, eng.SMWakes)
-	// Relaxed-sync breakdown (only when -slack engaged): epoch count,
-	// how the domains spent the windows (executed vs skipped domain
-	// cycles), and the barrier NoC replay's traffic.
-	if r := &eng.Relaxed; r.Epochs > 0 {
-		fmt.Printf("engine: relaxed slack=%d epochs=%d sm_domain_cycles=%d/%d skipped mem_domain_cycles=%d/%d skipped exchanged=%d held=%d\n",
-			r.SlackCycles, r.Epochs,
-			r.SMDomainCycles, r.SMDomainSkipped,
-			r.MemDomainCycles, r.MemDomainSkipped,
-			r.ExchangedMsgs, r.HeldMsgs)
-	}
 	// Per-component dispatch breakdown: of the hierarchy dispatches
 	// above, which component Ticks actually ran vs slept. Omitted under
 	// fault injection, where the hierarchy ticks wholesale.

@@ -53,16 +53,6 @@ type Checkpoint struct {
 	// Digest is the machine-state digest at the coordinate; restore
 	// replays to Cycle and verifies it reproduced this exact state.
 	Digest uint64
-	// PauseCycles is every stop cycle this execution has paused at, in
-	// order. Under the bit-exact engine a
-	// pause is pure suspension and replay could ignore these; under
-	// relaxed sync (SlackCycles > 0) a mid-window pause clamps the
-	// current epoch, inserting an extra exchange that perturbs the
-	// trajectory from that point on, so the replay must pause at every
-	// cycle the original run paused at to pass through the same machine
-	// states. Recording them unconditionally keeps restore one code
-	// path for both.
-	PauseCycles []uint64
 }
 
 // ConfigHash canonically hashes a simulator configuration. The
@@ -74,22 +64,19 @@ type Checkpoint struct {
 // process-independent.
 //
 // The rendering is fixed: it is the %+v form sim.Config had when the
-// engine still had scheduling knobs (SimWorkers, DisableCycleSkip,
-// Engine, DisableComponentWakes), with those knobs at the values the
-// hash always normalized them to. Checkpoint files and the sweep's
-// content-addressed result keys carry this hash, so keeping the
-// rendering keeps both valid; TestConfigHashPinned pins it and
+// engine still had scheduling knobs (SimWorkers, SlackCycles,
+// DisableCycleSkip, Engine, DisableComponentWakes), with those knobs at
+// the values the hash always normalized them to. Checkpoint files and
+// the sweep's content-addressed result keys carry this hash, so keeping
+// the rendering keeps both valid; TestConfigHashPinned pins it and
 // TestConfigHashCoversConfig fails when sim.Config gains a field the
 // rendering does not cover.
 //
-// SlackCycles is excluded as a scheduling knob too, with one caveat:
-// a nonzero slack changes the machine's cycle-by-cycle trajectory
-// (boundedly, functionally equivalently — see sim/relaxed.go). A
-// checkpoint records a state digest, and restore replays from cycle 0
-// under the restoring process's own config, so restoring a slack-N
-// checkpoint under a different slack fails with ErrDigestMismatch
-// rather than silently diverging. Restore under the same slack that
-// took the checkpoint.
+// Because SlackCycles was always rendered as 0, a checkpoint taken
+// under the retired relaxed-sync engine (slack > 0) carries the same
+// hash as a bit-exact one. Its recorded digest belongs to a trajectory
+// the one remaining engine never passes through, so restoring it fails
+// with ErrDigestMismatch.
 func ConfigHash(cfg sim.Config) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "{Mem:%+v SM:%+v MaxCycles:%d WatchdogWindow:%d DisableWatchdog:%t Observer:<nil> SimWorkers:0 SlackCycles:0 DisableCycleSkip:false Engine:auto DisableComponentWakes:false ProfileLabels:false}",
@@ -102,7 +89,7 @@ func ConfigHash(cfg sim.Config) uint64 {
 // binaries reject new files loudly instead of misreading them.
 const (
 	ckptMagic    = "GTSCCKPT"
-	codecVersion = 2        // v2: appended PauseCycles (pause-schedule replay)
+	codecVersion = 2        // v2: appended a pause-cycle list (now always written empty)
 	maxFrame     = 64 << 20 // sanity bound on a frame length field
 )
 
@@ -136,10 +123,8 @@ func (ck *Checkpoint) marshal() []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ck.Phase)))
 	buf = append(buf, ck.Phase...)
 	buf = binary.LittleEndian.AppendUint64(buf, ck.Digest)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ck.PauseCycles)))
-	for _, p := range ck.PauseCycles {
-		buf = binary.LittleEndian.AppendUint64(buf, p)
-	}
+	// The v2 pause-cycle list: always empty now (see unmarshal).
+	buf = binary.LittleEndian.AppendUint32(buf, 0)
 	return buf
 }
 
@@ -191,6 +176,9 @@ func (ck *Checkpoint) unmarshal(buf []byte) error {
 	if ck.Digest, ok = u64(); !ok {
 		return ErrCorrupt
 	}
+	// The v2 pause-cycle list. Older binaries recorded every pause so
+	// a resume could replay them; a pause is pure suspension, so the
+	// cycles are skipped unread.
 	if len(buf) < 4 {
 		return ErrCorrupt
 	}
@@ -199,11 +187,9 @@ func (ck *Checkpoint) unmarshal(buf []byte) error {
 	if uint64(len(buf)) < uint64(n)*8 {
 		return ErrCorrupt
 	}
-	if n > 0 {
-		ck.PauseCycles = make([]uint64, n)
-		for i := range ck.PauseCycles {
-			ck.PauseCycles[i], _ = u64()
-		}
+	buf = buf[uint64(n)*8:]
+	if len(buf) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf))
 	}
 	return nil
 }
@@ -252,10 +238,18 @@ func (ck *Checkpoint) EncodeBytes() ([]byte, error) {
 }
 
 // DecodeBytes reads a checkpoint rendered by EncodeBytes, validating
-// magic, version and CRC — a truncated or bit-flipped frame reports
-// ErrCorrupt rather than a bogus coordinate.
+// magic, version and CRC — a truncated, bit-flipped or over-long frame
+// reports ErrCorrupt rather than a bogus coordinate.
 func DecodeBytes(b []byte) (*Checkpoint, error) {
-	return Decode(bytes.NewReader(b))
+	r := bytes.NewReader(b)
+	ck, err := Decode(r)
+	if err != nil {
+		return nil, err
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the frame", ErrCorrupt, r.Len())
+	}
+	return ck, nil
 }
 
 // SaveFile atomically writes the checkpoint to path (tmp + rename), so
@@ -283,14 +277,14 @@ func (ck *Checkpoint) SaveFile(path string) error {
 	return os.Rename(tmp, path)
 }
 
-// LoadFile reads a checkpoint file written by SaveFile.
+// LoadFile reads a checkpoint file written by SaveFile. Like
+// DecodeBytes it rejects a file with bytes after the frame.
 func LoadFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Decode(f)
+	return DecodeBytes(b)
 }
 
 // writeFrame emits one length/CRC-framed payload.

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -18,8 +19,28 @@ func testCheckpoint() *Checkpoint {
 		Cycle:       123456789,
 		Phase:       "drain",
 		Digest:      0x0123456789ABCDEF,
-		PauseCycles: []uint64{1000, 65537, 123456789},
 	}
+}
+
+// frame renders payload as a codec-v2 checkpoint file.
+func frame(payload []byte) []byte {
+	var buf bytes.Buffer
+	buf.WriteString(ckptMagic)
+	binary.Write(&buf, binary.LittleEndian, uint32(codecVersion))
+	writeFrame(&buf, payload)
+	return buf.Bytes()
+}
+
+// withPauses returns ck's payload with a pause-cycle list of the given
+// count followed by pauses, as older binaries wrote it. marshal ends
+// with the list's (zero) count.
+func withPauses(ck *Checkpoint, count uint32, pauses ...uint64) []byte {
+	payload := ck.marshal()
+	payload = binary.LittleEndian.AppendUint32(payload[:len(payload)-4], count)
+	for _, p := range pauses {
+		payload = binary.LittleEndian.AppendUint64(payload, p)
+	}
+	return payload
 }
 
 func TestCheckpointCodecRoundTrip(t *testing.T) {
@@ -94,6 +115,43 @@ func TestCheckpointDecodeCorruption(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestCheckpointDecodeSkipsPauseList: a v2 file that still carries a
+// pause-cycle list decodes to the same coordinate as one without, and a
+// count larger than the bytes that follow is a torn list.
+func TestCheckpointDecodeSkipsPauseList(t *testing.T) {
+	ck := testCheckpoint()
+	got, err := DecodeBytes(frame(withPauses(ck, 3, 1000, 65537, 123456789)))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(got, ck) {
+		t.Errorf("decode = %+v, want %+v", got, ck)
+	}
+	if _, err := DecodeBytes(frame(withPauses(ck, 3, 1, 2))); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("over-long pause count: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestCheckpointDecodeTrailingBytes: bytes after the last field of a
+// CRC-valid payload, or after the frame itself, are corruption — a
+// decode that ignored them would not re-encode to its input.
+func TestCheckpointDecodeTrailingBytes(t *testing.T) {
+	ck := testCheckpoint()
+	if _, err := DecodeBytes(frame(append(ck.marshal(), 1, 2, 3, 4, 5))); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("trailing payload bytes: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := DecodeBytes(append(frame(ck.marshal()), 0)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("trailing frame byte: err = %v, want ErrCorrupt", err)
+	}
+	path := filepath.Join(t.TempDir(), "x.ckpt")
+	if err := os.WriteFile(path, append(frame(ck.marshal()), 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(path); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("trailing file byte: err = %v, want ErrCorrupt", err)
+	}
 }
 
 func journalRecords(t *testing.T, path string) [][]byte {

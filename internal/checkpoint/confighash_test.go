@@ -17,8 +17,6 @@ import (
 func TestConfigHashPinned(t *testing.T) {
 	tcsc := sim.DefaultConfig()
 	tcsc.Mem.Protocol, tcsc.SM.Consistency = memsys.TC, gpu.SC
-	slack := sim.DefaultConfig()
-	slack.SlackCycles = 32
 	faulted := sim.DefaultConfig()
 	faulted.Mem.Fault = fault.Chaos(7)
 	for _, c := range []struct {
@@ -28,7 +26,6 @@ func TestConfigHashPinned(t *testing.T) {
 	}{
 		{"default", sim.DefaultConfig(), 0x611623b9b5b3fc47},
 		{"tc-sc", tcsc, 0xf141743251e757e1},
-		{"slack32", slack, 0x611623b9b5b3fc47},
 		{"fault7", faulted, 0x97d96a05aefbbab3},
 	} {
 		if got := ConfigHash(c.cfg); got != c.want {
@@ -42,7 +39,7 @@ func TestConfigHashPinned(t *testing.T) {
 // added to that rendering (if it changes what the machine computes) or
 // to the excluded list here (if it only schedules or observes).
 func TestConfigHashCoversConfig(t *testing.T) {
-	want := []string{"Mem", "SM", "MaxCycles", "WatchdogWindow", "DisableWatchdog", "Observer", "SlackCycles", "ProfileLabels"}
+	want := []string{"Mem", "SM", "MaxCycles", "WatchdogWindow", "DisableWatchdog", "Observer", "ProfileLabels"}
 	typ := reflect.TypeOf(sim.Config{})
 	var got []string
 	for i := 0; i < typ.NumField(); i++ {

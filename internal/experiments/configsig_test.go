@@ -11,8 +11,6 @@ import (
 func TestConfigSigPinned(t *testing.T) {
 	tcLease := DefaultConfig()
 	tcLease.TCLease = 800
-	slack := DefaultConfig()
-	slack.Slack = 32
 	faulted := DefaultConfig()
 	faulted.FaultSeed = 7
 	for _, c := range []struct {
@@ -22,7 +20,6 @@ func TestConfigSigPinned(t *testing.T) {
 	}{
 		{"default", DefaultConfig(), 0xebe71c0eba742bcf},
 		{"tc-lease800", tcLease, 0xdc287e79898b25bb},
-		{"slack32", slack, 0x5a14827e10fb9584},
 		{"fault7", faulted, 0x17c12db0b65c9760},
 	} {
 		if got := NewSession(c.cfg).configSig(); got != c.want {
@@ -36,7 +33,7 @@ func TestConfigSigPinned(t *testing.T) {
 // to that rendering (if it affects results) or to the list here as an
 // excluded field (if it only schedules or handles errors).
 func TestConfigSigCoversConfig(t *testing.T) {
-	want := []string{"Scale", "NumSMs", "NumBanks", "GTSCLease", "GTSCTSBits", "TCLease", "MaxCycles", "Workers", "Slack", "FaultSeed", "RetryTransient", "KeepGoing", "WatchdogWindow"}
+	want := []string{"Scale", "NumSMs", "NumBanks", "GTSCLease", "GTSCTSBits", "TCLease", "MaxCycles", "Workers", "FaultSeed", "RetryTransient", "KeepGoing", "WatchdogWindow"}
 	typ := reflect.TypeOf(Config{})
 	var got []string
 	for i := 0; i < typ.NumField(); i++ {

@@ -9,7 +9,7 @@
 // underlying simulations. Every cell runs through one path:
 // Session.run builds its configuration in simConfig from the session
 // settings and the variant, so every experiment honours the session's
-// leases, slack, fault seed, watchdog, retry and context.
+// leases, fault seed, watchdog, retry and context.
 package experiments
 
 import (
@@ -61,14 +61,6 @@ type Config struct {
 	// simulator, store, RNG and observer per run — so the results are
 	// bit-identical for any worker count; only wall-clock time changes.
 	Workers int
-	// Slack is each run's relaxed-synchronization bound in cycles
-	// (sim.Config.SlackCycles; 0 = bit-exact execution). Unlike
-	// Workers this is NOT a pure scheduling knob:
-	// nonzero slack perturbs cycle counts boundedly (functional
-	// results are preserved — see sim/relaxed.go), so it is part of
-	// the cache key and of the journal's config signature, and
-	// slack-0 results are never served for a slack-N request.
-	Slack uint64
 
 	// FaultSeed, when non-zero, runs every simulation under the chaos
 	// fault-injection plan with that seed (see internal/fault). Runs
@@ -249,10 +241,11 @@ func (s *Session) context() context.Context {
 }
 
 // key is the cache and journal key of one cell. Cells on the session's
-// machine keep the rendering journals have always used; overridden
-// machines append one suffix naming every override field.
+// machine keep the rendering journals have always used, including the
+// literal 0 where the retired slack knob sat; overridden machines
+// append one suffix naming every override field.
 func (s *Session) key(wl string, v variant) string {
-	k := fmt.Sprintf("%s/%d/%d/%d/%t/%t/%t/%d/%d", wl, v.proto, v.cons, v.lease, v.forwardAll, v.oldCopy, v.adaptive, s.Cfg.FaultSeed, s.Cfg.Slack)
+	k := fmt.Sprintf("%s/%d/%d/%d/%t/%t/%t/%d/0", wl, v.proto, v.cons, v.lease, v.forwardAll, v.oldCopy, v.adaptive, s.Cfg.FaultSeed)
 	if m := v.m; m != (machine{}) {
 		k += fmt.Sprintf("/machine/%d/%d/%d/%d/%t/%t", m.sms, m.banks, m.l1Sets, m.l1MSHRs, m.mesh, m.bankedDRAM)
 	}
@@ -435,7 +428,6 @@ func (s *Session) simConfig(v variant, attempt int) sim.Config {
 	cfg.SM.Consistency = v.cons
 	cfg.MaxCycles = s.Cfg.MaxCycles
 	cfg.WatchdogWindow = s.Cfg.WatchdogWindow
-	cfg.SlackCycles = s.Cfg.Slack
 	cfg.Mem.GTSC.Lease = s.Cfg.GTSCLease
 	cfg.Mem.GTSC.TSBits = s.Cfg.GTSCTSBits
 	cfg.Mem.TC.Lease = s.Cfg.TCLease

@@ -20,14 +20,13 @@ type sessionCtxKey struct{}
 // session with non-default result-affecting settings and a stubbed
 // simulator, and checks that every cell — override machines included —
 // reached the runSim seam under the session's context, with the
-// session's leases, timestamp width, slack, fault plan and watchdog,
+// session's leases, timestamp width, fault plan and watchdog,
 // and with its own machine geometry.
 func TestEveryCellHonoursSession(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.GTSCLease = 13
 	cfg.GTSCTSBits = 12
 	cfg.TCLease = 555
-	cfg.Slack = 16
 	cfg.FaultSeed = 9
 	cfg.WatchdogWindow = 77_777
 	ctx := context.WithValue(context.Background(), sessionCtxKey{}, true)
@@ -71,10 +70,10 @@ func TestEveryCellHonoursSession(t *testing.T) {
 			ownLease++
 		}
 		if c.Mem.GTSC.TSBits != cfg.GTSCTSBits || c.Mem.TC.Lease != cfg.TCLease ||
-			c.SlackCycles != cfg.Slack || c.WatchdogWindow != cfg.WatchdogWindow ||
+			c.WatchdogWindow != cfg.WatchdogWindow ||
 			c.MaxCycles != s.Cfg.MaxCycles || !reflect.DeepEqual(c.Mem.Fault, fault.Chaos(cfg.FaultSeed)) {
-			t.Errorf("cell config ignores the session: tsbits %d, tc lease %d, slack %d, watchdog %d, max cycles %d, fault %+v",
-				c.Mem.GTSC.TSBits, c.Mem.TC.Lease, c.SlackCycles, c.WatchdogWindow, c.MaxCycles, c.Mem.Fault)
+			t.Errorf("cell config ignores the session: tsbits %d, tc lease %d, watchdog %d, max cycles %d, fault %+v",
+				c.Mem.GTSC.TSBits, c.Mem.TC.Lease, c.WatchdogWindow, c.MaxCycles, c.Mem.Fault)
 		}
 		seen[geometry{
 			c.Mem.NumSMs, c.Mem.NumBanks, c.Mem.L1Sets, c.Mem.L1MSHRs,

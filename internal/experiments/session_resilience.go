@@ -51,15 +51,15 @@ type journalRecord struct {
 // cleanly at -j 1.
 //
 // The rendering is fixed: it is the %+v form Config had when sessions
-// still carried the engine knobs SimWorkers and Engine, with those at
-// their zero values, so journals written then still attach.
+// still carried the engine knobs SimWorkers, Engine and Slack, with
+// those at their zero values, so journals written then still attach.
 // TestConfigSigPinned pins it and TestConfigSigCoversConfig fails when
 // Config gains a field the rendering does not cover.
 func (s *Session) configSig() uint64 {
 	c := s.Cfg
 	h := fnv.New64a()
-	fmt.Fprintf(h, "{Scale:%d NumSMs:%d NumBanks:%d GTSCLease:%d GTSCTSBits:%d TCLease:%d MaxCycles:%d Workers:0 SimWorkers:0 Engine:auto Slack:%d FaultSeed:%d RetryTransient:0 KeepGoing:false WatchdogWindow:%d}",
-		c.Scale, c.NumSMs, c.NumBanks, c.GTSCLease, c.GTSCTSBits, c.TCLease, c.MaxCycles, c.Slack, c.FaultSeed, c.WatchdogWindow)
+	fmt.Fprintf(h, "{Scale:%d NumSMs:%d NumBanks:%d GTSCLease:%d GTSCTSBits:%d TCLease:%d MaxCycles:%d Workers:0 SimWorkers:0 Engine:auto Slack:0 FaultSeed:%d RetryTransient:0 KeepGoing:false WatchdogWindow:%d}",
+		c.Scale, c.NumSMs, c.NumBanks, c.GTSCLease, c.GTSCTSBits, c.TCLease, c.MaxCycles, c.FaultSeed, c.WatchdogWindow)
 	return h.Sum64()
 }
 

@@ -139,13 +139,6 @@ type SM struct {
 	scanBuf    []*Warp     // reusable scheduler scan order (hot path)
 	groupPool  []*accGroup // recycled LDST access groups (see pool.go)
 
-	// deferFills redirects CTA refills (which draw from the dispatcher
-	// shared by every SM) to CommitFill, so SMs that run ahead of each
-	// other within a relaxed-sync epoch draw CTAs in a fixed order: the
-	// simulator commits fills in SM index order at the epoch barrier.
-	deferFills  bool
-	pendingFill bool
-
 	// completions counts memory-completion callbacks delivered to this
 	// SM's warps, monotonically. Every change to warp readiness that can
 	// originate outside the SM's own tick flows through a Done callback
@@ -570,11 +563,7 @@ func (s *SM) finishWarp(w *Warp) {
 		for _, cw := range cta.Warps {
 			s.freeIDs = append(s.freeIDs, cw.ID)
 		}
-		if s.deferFills {
-			s.pendingFill = true
-		} else {
-			s.fill()
-		}
+		s.fill()
 	}
 }
 
@@ -641,25 +630,4 @@ func (d *Dispatcher) next(s *SM) *CTA {
 		cta.Warps = append(cta.Warps, w)
 	}
 	return cta
-}
-
-// SetDeferFills switches CTA refills between immediate (the cycle
-// engine) and deferred-to-CommitFill (relaxed-sync epochs). See the
-// deferFills field.
-func (s *SM) SetDeferFills(v bool) { s.deferFills = v }
-
-// PendingFill reports whether a deferred CTA refill is waiting for
-// CommitFill. The relaxed engine checks it at epoch barriers: a refill
-// gives a sleeping SM domain new work, invalidating its stall probe.
-func (s *SM) PendingFill() bool { return s.pendingFill }
-
-// CommitFill performs any CTA refill deferred during a relaxed-sync
-// epoch. The simulator calls it in SM index order at grid barriers, so
-// the dispatcher's draw order is a function of machine state alone.
-func (s *SM) CommitFill() {
-	if !s.pendingFill {
-		return
-	}
-	s.pendingFill = false
-	s.fill()
 }

@@ -178,27 +178,6 @@ type System struct {
 	inj   *fault.Injector
 	shims []*fault.DelayShim
 
-	// Relaxed-sync state (see relaxed.go): the run observer and its
-	// per-component staging shims, per-domain outbound epoch buffers,
-	// and the per-port held queues for barrier injections that met a
-	// full port. l1Obs/l2Obs are nil when no observer is attached.
-	obs       coherence.Observer
-	l1Obs     []*obsShim
-	l2Obs     []*obsShim
-	relaxL1   []*epochBuf  // SM domain i -> toL2 port i
-	relaxL2   []*epochBuf  // mem domain b -> toL1 port b
-	heldL2    [][]*mem.Msg // backpressured barrier injections, toL2 port i
-	heldL1    [][]*mem.Msg // backpressured barrier injections, toL1 port b
-	relaxHeld int
-	relaxToL2 relaxDir // aggregate injection state, L1->L2 direction
-	relaxToL1 relaxDir // aggregate injection state, L2->L1 direction
-	// relaxPartNext caches each DRAM partition's next scheduled event
-	// so the exchange can skip quiescent mem domains per replay cycle;
-	// relaxPartStale marks entries invalidated by a tick, recomputed
-	// lazily on the next quiescent cycle. Reset each RelaxedBegin.
-	relaxPartNext  []uint64
-	relaxPartStale []bool
-
 	// Wakes is the scheduled-wake agenda for the event-driven engine
 	// (see wakes.go); slot layout is [net, partitions, L2s, L1s] in
 	// canonical tick order, with SM slots appended by the simulator.
@@ -209,15 +188,11 @@ type System struct {
 	slotL2   int // first L2 slot
 	slotL1   int // first L1 slot
 
-	// Per-component dispatch state (see wakes.go). hooks arms the
-	// ingress hooks; it is off under fault injection, where nothing
-	// drains the agenda (every slot is Hot), and between RelaxedBegin
-	// and RelaxedEnd, where relaxed phases tick components outside any
-	// dispatch. clock is the last cycle handed to Tick/TickDue/
-	// SyncClocks, which the hooks need to compute post-enqueue wakes;
-	// the ticked lists record which components TickDue dispatched this
-	// cycle so RefreshDue re-probes exactly those.
-	hooks       bool
+	// Per-component dispatch state (see wakes.go). clock is the last
+	// cycle handed to Tick/TickDue/SyncClocks, which dramSender needs
+	// to compute post-enqueue wakes; the ticked lists record which
+	// components TickDue dispatched this cycle so RefreshDue re-probes
+	// exactly those.
 	clock       uint64
 	tickedParts []int
 	tickedL2s   []int
@@ -251,30 +226,11 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 			cfg.TC.Lease = floor
 		}
 	}
-	s := &System{Cfg: cfg, Store: store, obs: obs}
+	s := &System{Cfg: cfg, Store: store}
 	if cfg.Fault.Enabled() {
 		s.inj = fault.NewInjector(cfg.Fault)
 	}
 	s.Net = noc.New(cfg.NoC, cfg.NumSMs, cfg.NumBanks)
-
-	if obs != nil {
-		s.l1Obs = make([]*obsShim, cfg.NumSMs)
-		s.l2Obs = make([]*obsShim, cfg.NumBanks)
-	}
-	s.relaxToL2.due = noc.Never
-	s.relaxToL1.due = noc.Never
-	s.relaxL1 = make([]*epochBuf, cfg.NumSMs)
-	for i := range s.relaxL1 {
-		s.relaxL1[i] = &epochBuf{live: &s.relaxToL2}
-	}
-	s.relaxL2 = make([]*epochBuf, cfg.NumBanks)
-	for i := range s.relaxL2 {
-		s.relaxL2[i] = &epochBuf{live: &s.relaxToL1}
-	}
-	s.heldL2 = make([][]*mem.Msg, cfg.NumSMs)
-	s.heldL1 = make([][]*mem.Msg, cfg.NumBanks)
-	s.relaxPartNext = make([]uint64, cfg.NumBanks)
-	s.relaxPartStale = make([]bool, cfg.NumBanks)
 
 	s.Parts = make([]*dram.Partition, cfg.NumBanks)
 	for i := range s.Parts {
@@ -288,25 +244,13 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 		// bank order, so one shared reject stream is deterministic.
 		sendToL1 = s.inj.WrapSender(sendToL1)
 	}
-	// Per-bank relaxed interposer so epoch buffers can capture each
-	// bank's sends; a transparent passthrough outside relaxed mode.
-	bankSend := func(i int) coherence.Sender {
-		return &relaxSender{real: sendToL1, relax: s.relaxL2[i]}
-	}
-	// Per-bank observer shim; nil passthrough without an observer.
-	bankObs := func(i int) coherence.Observer {
-		if obs == nil {
-			return nil
-		}
-		return shimObs(obs, &s.l2Obs[i])
-	}
 	switch cfg.Protocol {
 	case GTSC:
 		s.Resets = core.NewResetController()
 		for i := range s.L2s {
 			l2 := core.NewL2(cfg.GTSC, i,
 				core.L2Geometry{Sets: cfg.L2Sets, Ways: cfg.L2Ways, PerCycle: cfg.L2PerCycle},
-				bankSend(i), s.dramSender(i), bankObs(i))
+				sendToL1, s.dramSender(i), obs)
 			l2.AttachResets(s.Resets)
 			s.L2s[i] = l2
 		}
@@ -314,7 +258,7 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 		for i := range s.L2s {
 			s.L2s[i] = tc.NewL2(cfg.TC, i,
 				tc.L2Geometry{Sets: cfg.L2Sets, Ways: cfg.L2Ways, PerCycle: cfg.L2PerCycle},
-				bankSend(i), s.dramSender(i), bankObs(i))
+				sendToL1, s.dramSender(i), obs)
 		}
 	case DIR:
 		dcfg := cfg.DIR
@@ -322,13 +266,13 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 		for i := range s.L2s {
 			s.L2s[i] = dir.NewL2(dcfg, i,
 				dir.L2Geometry{Sets: cfg.L2Sets, Ways: cfg.L2Ways, PerCycle: cfg.L2PerCycle},
-				bankSend(i), s.dramSender(i), bankObs(i))
+				sendToL1, s.dramSender(i), obs)
 		}
 	case BL, L1NC:
 		for i := range s.L2s {
 			l2 := nocoh.NewL2Plain(i,
 				nocoh.L2Geometry{Sets: cfg.L2Sets, Ways: cfg.L2Ways, PerCycle: cfg.L2PerCycle},
-				bankSend(i), s.dramSender(i), bankObs(i))
+				sendToL1, s.dramSender(i), obs)
 			// Under BL load values bind at the L2 (there is no L1).
 			l2.SetObserveLoads(cfg.Protocol == BL)
 			s.L2s[i] = l2
@@ -340,39 +284,36 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 	s.L1s = make([]coherence.L1, cfg.NumSMs)
 	sendToL2 := coherence.Sender(coherence.SenderFunc(s.Net.SendToL2))
 	for i := range s.L1s {
-		// The L1->L2 path draws its fault rejects from a per-lane
-		// stream, so the schedule depends only on the lane's own send
-		// count. See l1Sender.
-		ls := &l1Sender{real: sendToL2, relax: s.relaxL1[i]}
+		send := sendToL2
 		if s.inj != nil {
-			ls.reject = s.inj.LaneReject(i)
-		}
-		send := coherence.Sender(ls)
-		var l1obs coherence.Observer
-		if obs != nil {
-			l1obs = shimObs(obs, &s.l1Obs[i])
+			// The L1->L2 path draws its fault rejects from a per-lane
+			// stream, so the schedule depends only on the lane's own
+			// send count. See l1Sender.
+			if reject := s.inj.LaneReject(i); reject != nil {
+				send = &l1Sender{real: sendToL2, reject: reject}
+			}
 		}
 		switch cfg.Protocol {
 		case GTSC:
 			s.L1s[i] = core.NewL1(cfg.GTSC, i, cfg.NumBanks,
 				core.L1Geometry{Sets: cfg.L1Sets, Ways: cfg.L1Ways, MSHRs: cfg.L1MSHRs, Warps: cfg.MaxWarps},
-				send, l1obs)
+				send, obs)
 		case TC:
 			s.L1s[i] = tc.NewL1(cfg.TC, i, cfg.NumBanks,
 				tc.Geometry{Sets: cfg.L1Sets, Ways: cfg.L1Ways, MSHRs: cfg.L1MSHRs},
-				send, l1obs)
+				send, obs)
 		case BL:
-			s.L1s[i] = nocoh.NewL1Bypass(i, cfg.NumBanks, send, l1obs)
+			s.L1s[i] = nocoh.NewL1Bypass(i, cfg.NumBanks, send, obs)
 		case L1NC:
 			s.L1s[i] = nocoh.NewL1Simple(i, cfg.NumBanks,
 				nocoh.Geometry{Sets: cfg.L1Sets, Ways: cfg.L1Ways, MSHRs: cfg.L1MSHRs},
-				send, l1obs)
+				send, obs)
 		case DIR:
 			dcfg := cfg.DIR
 			dcfg.MaxSharers = cfg.NumSMs
 			s.L1s[i] = dir.NewL1(dcfg, i, cfg.NumBanks,
 				dir.Geometry{Sets: cfg.L1Sets, Ways: cfg.L1Ways, MSHRs: cfg.L1MSHRs},
-				send, l1obs)
+				send, obs)
 		}
 	}
 
@@ -416,58 +357,78 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 		s.shims = append(s.shims, dShim)
 	}
 	s.initWakes()
-	s.hooks = s.inj == nil
+	if s.inj == nil {
+		s.wireHooks()
+	}
+	return s
+}
 
-	// Ingress hooks for per-component wake dispatch: a delivery marks
-	// its receiver Hot BEFORE the message lands, so a component whose
-	// tick was about to be skipped this cycle is dispatched instead the
-	// moment input reaches it (the NoC and partitions tick ahead of the
-	// controllers in canonical order, so the mark is always seen by this
-	// cycle's due-check). The hooks wrap whatever delivery path was
-	// wired above — including fault shims, though an active injector
-	// keeps hooks off, making the marks inert no-ops there.
+// wireHooks installs the ingress hooks for per-component wake dispatch:
+// a delivery marks its receiver Hot BEFORE the message lands, so a
+// component whose tick was about to be skipped this cycle is dispatched
+// instead the moment input reaches it (the NoC and partitions tick
+// ahead of the controllers in canonical order, so the mark is always
+// seen by this cycle's due-check). Under fault injection nothing drains
+// the agenda (every slot is Hot), so New leaves the hooks out.
+func (s *System) wireHooks() {
 	deliverL2, deliverL1 := s.Net.DeliverL2, s.Net.DeliverL1
 	s.Net.DeliverL2 = func(bank int, msg *mem.Msg) {
-		if s.hooks {
-			s.Wakes.Schedule(s.slotL2+bank, sched.Hot)
-		}
+		s.Wakes.Schedule(s.slotL2+bank, sched.Hot)
 		deliverL2(bank, msg)
 	}
 	s.Net.DeliverL1 = func(sm int, msg *mem.Msg) {
-		if s.hooks {
-			s.Wakes.Schedule(s.slotL1+sm, sched.Hot)
-		}
+		s.Wakes.Schedule(s.slotL1+sm, sched.Hot)
 		deliverL1(sm, msg)
 	}
 	for i, p := range s.Parts {
 		bank, fill := i, p.Deliver
 		p.Deliver = func(msg *mem.Msg) {
-			if s.hooks {
-				// A DRAM fill is consumed synchronously by the L2
-				// (DRAMFill), which can queue responses the bank's tick
-				// must drain this very cycle.
-				s.Wakes.Schedule(s.slotL2+bank, sched.Hot)
-			}
+			// A DRAM fill is consumed synchronously by the L2
+			// (DRAMFill), which can queue responses the bank's tick
+			// must drain this very cycle.
+			s.Wakes.Schedule(s.slotL2+bank, sched.Hot)
 			fill(msg)
 		}
 	}
-	return s
 }
 
+// dramSender is bank's path to its DRAM partition. Without an
+// injector it also re-registers the partition's wake after each
+// enqueue.
 func (s *System) dramSender(bank int) coherence.Sender {
+	p := s.Parts[bank]
+	if s.inj != nil {
+		return coherence.SenderFunc(p.Enqueue)
+	}
 	return coherence.SenderFunc(func(msg *mem.Msg) bool {
-		if !s.Parts[bank].Enqueue(msg) {
+		if !p.Enqueue(msg) {
 			return false
 		}
-		if s.hooks {
-			// The enqueue can pull the partition's wake earlier (an idle
-			// partition was parked at Never); its tick slot for this
-			// cycle has already passed, and NextEvent is always > clock,
-			// so the new wake is a valid future registration.
-			s.Wakes.Schedule(s.slotPart+bank, s.Parts[bank].NextEvent(s.clock))
-		}
+		// The enqueue can pull the partition's wake earlier (an idle
+		// partition was parked at Never); its tick slot for this cycle
+		// has already passed, and NextEvent is always > clock, so the
+		// new wake is a valid future registration.
+		s.Wakes.Schedule(s.slotPart+bank, p.NextEvent(s.clock))
 		return true
 	})
+}
+
+// l1Sender interposes one L1's request path to the NoC under fault
+// injection. It draws the transient-reject chance FIRST on every
+// attempt, from this lane's private RNG stream (fault.LaneReject), so
+// the perturbation schedule is a function of the lane's own send count
+// alone.
+type l1Sender struct {
+	real   coherence.Sender
+	reject func() bool
+}
+
+// TrySend implements coherence.Sender.
+func (ls *l1Sender) TrySend(msg *mem.Msg) bool {
+	if ls.reject() {
+		return false // transient fault: indistinguishable from a full port
+	}
+	return ls.real.TrySend(msg)
 }
 
 // Tick advances the hierarchy one cycle in back-to-front order so
@@ -509,7 +470,7 @@ func (s *System) Pending() int {
 	for _, sh := range s.shims {
 		n += sh.Pending()
 	}
-	return n + s.relaxPending()
+	return n
 }
 
 // Err reports the first protocol error recorded anywhere in the

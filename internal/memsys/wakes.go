@@ -257,9 +257,9 @@ func (s *System) refreshL1(i int) {
 //     work is time-driven, which sleeps until its TimedWake.
 //
 // This full scan runs only at phase entry (after between-phase work
-// like the kernel-boundary L1 flush, a checkpoint restore, or a
-// relaxed phase mutated components outside any dispatch); steady-state
-// cycles use the incremental RefreshDue.
+// like the kernel-boundary L1 flush or a checkpoint restore mutated
+// components outside any dispatch); steady-state cycles use the
+// incremental RefreshDue.
 //
 // Fault shims hold messages on schedules the probes do not model, so
 // under an injector RefreshWakes (like RefreshDue) pins the NoC slot
@@ -282,9 +282,9 @@ func (s *System) RefreshWakes(now uint64) {
 }
 
 // SkipSafe reports whether the engine may trust wake claims: skip
-// cycles, sleep components, and run relaxed epochs. Fault shims hold
-// messages with release schedules the next-event query does not
-// model, so perturbed runs tick every component every cycle.
+// cycles and sleep components. Fault shims hold messages with release
+// schedules the next-event query does not model, so perturbed runs
+// tick every component every cycle.
 func (s *System) SkipSafe() bool { return s.inj == nil }
 
 // NextEvent returns the earliest future cycle (> now) at which ticking
@@ -338,5 +338,5 @@ func (s *System) Drained() bool {
 			return false
 		}
 	}
-	return s.relaxPending() == 0
+	return true
 }

@@ -59,14 +59,8 @@ type Network struct {
 	// DeliverL1 receives messages addressed to SM Dst.
 	DeliverL1 func(sm int, msg *mem.Msg)
 
-	inFlight    int
-	deliveredL2 uint64 // lifetime count of wire deliveries into L2 banks
+	inFlight int
 }
-
-// DeliveredL2 returns the lifetime count of messages delivered into L2
-// banks. The relaxed exchange compares successive values to learn,
-// in O(1), whether a tick handed any bank new work.
-func (n *Network) DeliveredL2() uint64 { return n.deliveredL2 }
 
 // New builds a crossbar with nSM SM-side ports and nBank bank-side ports.
 func New(cfg Config, nSM, nBank int) *Network {
@@ -231,7 +225,6 @@ func (n *Network) Tick(now uint64) {
 		a := n.wire.pop()
 		n.inFlight--
 		if a.toL2 {
-			n.deliveredL2++
 			n.DeliverL2(a.msg.Dst, a.msg)
 		} else {
 			n.DeliverL1(a.msg.Dst, a.msg)
@@ -421,36 +414,4 @@ func (n *Network) NextWork(now uint64) uint64 {
 		return now + 1
 	}
 	return n.next
-}
-
-// NextL1Arrival returns a sound lower bound on the earliest cycle at
-// which any in-flight L1-bound message can be delivered: the minimum
-// over wire arrivals already bound for L1s and the earliest possible
-// arrival of each toL1 port's head (serialize no earlier than the
-// port frees, then flits plus base route latency — the mesh's
-// bisection stall only ever adds delay, so omitting it keeps the
-// bound sound). Never when nothing L1-bound is in flight. The relaxed
-// engine uses this to pull epoch barriers in to response arrivals so
-// a stalled SM observes its data without waiting out the full slack.
-func (n *Network) NextL1Arrival(now uint64) uint64 {
-	next := uint64(Never)
-	for _, a := range n.wire {
-		if !a.toL2 && a.at < next {
-			next = a.at
-		}
-	}
-	for _, p := range n.toL1 {
-		if p.len() == 0 {
-			continue
-		}
-		msg := p.q[p.head].msg
-		lat := n.cfg.Latency
-		if n.cfg.Topology == Mesh {
-			lat = n.meshLatency(msg, false)
-		}
-		if at := max(p.busyUntil, now+1) + uint64(msg.Flits()) + lat; at < next {
-			next = at
-		}
-	}
-	return next
 }

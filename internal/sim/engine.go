@@ -22,11 +22,6 @@ type EngineStats struct {
 	// SkipWindows counts fast-forward events (each covers >= 1 cycle).
 	SkipWindows uint64
 
-	// Relaxed counts what the bounded-slack engine did; all zero unless
-	// a phase ran relaxed (Config.SlackCycles > 0 and preconditions
-	// held).
-	Relaxed RelaxedStats
-
 	// SMTicks counts individual SM tick dispatches. Sleeping SMs are
 	// not ticked, so on stall-heavy workloads this is far below
 	// RunCycles * numSMs.
@@ -47,44 +42,10 @@ type EngineStats struct {
 	Comp memsys.DispatchStats
 }
 
-// RelaxedStats counts the relaxed-synchronization engine's work (see
-// Config.SlackCycles and sim/relaxed.go).
-type RelaxedStats struct {
-	// SlackCycles is the slack bound of the most recent relaxed phase.
-	SlackCycles uint64
-	// Epochs counts epoch barriers executed (grid barriers and forced
-	// pause barriers alike).
-	Epochs uint64
-	// SMDomainCycles / SMDomainSkipped count SM-domain cycles executed
-	// vs bulk-applied by intra-epoch quiescence skipping, summed over
-	// all SM domains. MemDomainCycles / MemDomainSkipped are the same
-	// for the L2-bank+DRAM domains.
-	SMDomainCycles   uint64
-	SMDomainSkipped  uint64
-	MemDomainCycles  uint64
-	MemDomainSkipped uint64
-	// ExchangedMsgs counts NoC injections replayed at epoch barriers;
-	// HeldMsgs counts the subset that met a full port on their tagged
-	// cycle and were deferred (the one relaxed-mode timing perturbation
-	// beyond barrier-crossing delivery).
-	ExchangedMsgs uint64
-	HeldMsgs      uint64
-}
-
 // Dispatches is the total number of event dispatches the engine
 // performed: one hierarchy dispatch per executed cycle plus one per SM
 // tick.
 func (e *EngineStats) Dispatches() uint64 { return e.RunCycles + e.DrainCycles + e.SMTicks }
-
-// Mode names the engine that dispatched cycles: "relaxed" if any phase
-// ran bounded-slack epochs, "event" otherwise. This is what the CLIs'
-// `engine:` line reports.
-func (e *EngineStats) Mode() string {
-	if e.Relaxed.Epochs > 0 {
-		return "relaxed"
-	}
-	return "event"
-}
 
 // MeanSkipWidth is the average number of cycles a machine-level
 // fast-forward jumped over (0 when no window was skipped).

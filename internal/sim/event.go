@@ -109,8 +109,7 @@ func (s *Simulator) flushSMs() {
 	}
 }
 
-// runPhase executes the main cycle loop until every warp retires,
-// handing the phase to the relaxed engine when SlackCycles asks for it.
+// runPhase executes the main cycle loop until every warp retires.
 // Per iteration it either executes one cycle (hierarchy tick +
 // awake-SM ticks + wake refresh) or jumps the clock to just before the
 // agenda horizon, capped at the watchdog/ctx-poll sampling boundary
@@ -118,9 +117,6 @@ func (s *Simulator) flushSMs() {
 // checks per iteration is part of the determinism contract (see
 // advance).
 func (s *Simulator) runPhase(ctx context.Context, stopAt uint64) (bool, error) {
-	if s.useRelaxed() {
-		return s.runPhaseRelaxed(ctx, stopAt)
-	}
 	st := s.cur
 	ev := s.ensureEventState()
 
@@ -129,8 +125,7 @@ func (s *Simulator) runPhase(ctx context.Context, stopAt uint64) (bool, error) {
 	// This also erases any slot state a previous phase left behind. The
 	// full RefreshWakes scan (not the incremental RefreshDue) is
 	// required here: between-phase work — the kernel-boundary L1 flush,
-	// a checkpoint restore, a relaxed phase — mutates components
-	// outside any dispatch.
+	// a checkpoint restore — mutates components outside any dispatch.
 	s.flushSMs()
 	ev.hot = !s.Sys.SkipSafe()
 	for i := range s.SMs {

@@ -1,4 +1,4 @@
-// pprof phase attribution for the cycle engine and relaxed sync.
+// pprof phase attribution for the cycle engine.
 //
 // A CPU profile of a simulation is dominated by three interleaved
 // activities — the memory-hierarchy tick, the SM tick, and the engine's
@@ -19,13 +19,6 @@ const (
 	phaseLabelHierarchy = "hierarchy-tick"
 	phaseLabelSM        = "sm-tick"
 	phaseLabelAgenda    = "agenda"
-
-	// Relaxed-sync engine phases: the SM domains free-running through
-	// their epoch window, the barrier's NoC replay, and the rest of the
-	// barrier (commits, observer merge, checks).
-	phaseLabelDomainRun = "domain-run"
-	phaseLabelExchange  = "noc-exchange"
-	phaseLabelBarrier   = "epoch-barrier"
 )
 
 // phaseLabels carries pre-built label contexts for the engine's hot
@@ -37,9 +30,6 @@ type phaseLabels struct {
 	hierarchy context.Context
 	smTick    context.Context
 	agenda    context.Context
-	domainRun context.Context
-	exchange  context.Context
-	barrier   context.Context
 }
 
 func (s *Simulator) newPhaseLabels() phaseLabels {
@@ -51,9 +41,6 @@ func (s *Simulator) newPhaseLabels() phaseLabels {
 	pl.hierarchy = pprof.WithLabels(base, pprof.Labels("engine_phase", phaseLabelHierarchy))
 	pl.smTick = pprof.WithLabels(base, pprof.Labels("engine_phase", phaseLabelSM))
 	pl.agenda = pprof.WithLabels(base, pprof.Labels("engine_phase", phaseLabelAgenda))
-	pl.domainRun = pprof.WithLabels(base, pprof.Labels("engine_phase", phaseLabelDomainRun))
-	pl.exchange = pprof.WithLabels(base, pprof.Labels("engine_phase", phaseLabelExchange))
-	pl.barrier = pprof.WithLabels(base, pprof.Labels("engine_phase", phaseLabelBarrier))
 	return pl
 }
 

@@ -52,25 +52,6 @@ type Config struct {
 	// shared instance.
 	Observer coherence.Observer
 
-	// SlackCycles enables relaxed-synchronization (bounded-slack)
-	// execution: the machine is partitioned into domains (each SM with
-	// its L1; each L2 bank with its DRAM partition) that free-run up
-	// to SlackCycles cycles between epoch barriers, where cross-domain
-	// NoC traffic is exchanged in canonical order. 0 (the default)
-	// keeps the bit-exact engine. N > 0 is an opt-in fast mode: final
-	// memory state, workload verification, and coherence invariants
-	// are preserved exactly, but cycle counts and timing-derived stats
-	// deviate boundedly (deliveries cross at barriers, so a message
-	// can land up to N cycles later than bit-exact execution; see
-	// DESIGN.md §7). Relaxed mode disengages automatically — falling
-	// back to the bit-exact engine — under fault injection, whose
-	// perturbation schedules demand exact per-cycle interleaving.
-	// EngineStats.Relaxed reports what the mode did; checkpoint
-	// ConfigHash excludes the knob (checkpoints pause at epoch
-	// barriers, and a digest only matches a replay run at the same
-	// slack).
-	SlackCycles uint64
-
 	// ProfileLabels annotates the engine's hot phases with pprof
 	// goroutine labels (engine_phase = sm-tick / hierarchy-tick /
 	// agenda) so CPU profiles attribute time per phase without manual
@@ -135,9 +116,8 @@ type Simulator struct {
 	cur         *runState // non-nil while a kernel is paused mid-execution
 	kernelsDone int       // kernels run to completion on this simulator
 
-	eng EngineStats   // engine scheduling counters (see engine.go)
-	ev  *eventState   // scheduled-wake engine state (see event.go)
-	rx  *relaxedState // relaxed-sync engine state (see relaxed.go)
+	eng EngineStats // engine scheduling counters (see engine.go)
+	ev  *eventState // scheduled-wake engine state (see event.go)
 
 	// cfgErr holds a configuration validation failure detected at New
 	// time. New keeps its no-error signature (a Simulator is still
